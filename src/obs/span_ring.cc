@@ -34,9 +34,11 @@ SpanRing::SpanRing(size_t capacity) {
   slots_ = std::make_unique<Slot[]>(capacity_);
 }
 
-bool SpanRing::AdvanceStamp(std::atomic<uint64_t>& stamp, uint64_t target) {
+bool SpanRing::ClaimStamp(std::atomic<uint64_t>& stamp, uint64_t target) {
   uint64_t cur = stamp.load(std::memory_order_acquire);
-  while (cur < target) {
+  // Only from an even (empty or completed) stamp: a writer still filling the
+  // slot keeps it exclusively, so two laps never interleave their payloads.
+  while (cur < target && cur % 2 == 0) {
     if (stamp.compare_exchange_weak(cur, target, std::memory_order_acq_rel,
                                     std::memory_order_acquire)) {
       return true;
@@ -50,8 +52,9 @@ void SpanRing::Record(const Span& span) {
   const uint64_t ticket = head_.fetch_add(1, std::memory_order_relaxed);
   Slot& slot = slots_[ticket & mask_];
 
-  // Claim the slot; if a newer lap already owns it, drop this span.
-  if (!AdvanceStamp(slot.stamp, 2 * ticket + 1)) return;
+  // Claim the slot; if a newer lap owns it or an older lap is still
+  // writing it, drop this span.
+  if (!ClaimStamp(slot.stamp, 2 * ticket + 1)) return;
 
   slot.trace_id.store(span.trace_id, std::memory_order_relaxed);
   slot.span_id.store(span.span_id, std::memory_order_relaxed);
@@ -64,8 +67,8 @@ void SpanRing::Record(const Span& span) {
                         (static_cast<uint32_t>(span.depth) << 16);
   slot.meta.store(meta, std::memory_order_relaxed);
 
-  // Publish; if a newer writer raced past us the stamp is already ahead.
-  AdvanceStamp(slot.stamp, 2 * ticket + 2);
+  // Publish; the odd stamp kept every other writer out meanwhile.
+  slot.stamp.store(2 * ticket + 2, std::memory_order_release);
 }
 
 std::vector<Span> SpanRing::Snapshot() const {

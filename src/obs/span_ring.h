@@ -93,7 +93,7 @@ class SpanRing {
     std::atomic<uint32_t> meta{0};  // kind | detail<<8 | depth<<16
   };
 
-  static bool AdvanceStamp(std::atomic<uint64_t>& stamp, uint64_t target);
+  static bool ClaimStamp(std::atomic<uint64_t>& stamp, uint64_t target);
 
   size_t capacity_;  // power of two
   size_t mask_;

@@ -14,9 +14,11 @@ TraceRing::TraceRing(size_t capacity) {
   slots_ = std::make_unique<Slot[]>(capacity_);
 }
 
-bool TraceRing::AdvanceStamp(std::atomic<uint64_t>& stamp, uint64_t target) {
+bool TraceRing::ClaimStamp(std::atomic<uint64_t>& stamp, uint64_t target) {
   uint64_t cur = stamp.load(std::memory_order_acquire);
-  while (cur < target) {
+  // Only from an even (empty or completed) stamp: a writer still filling the
+  // slot keeps it exclusively, so two laps never interleave their payloads.
+  while (cur < target && cur % 2 == 0) {
     if (stamp.compare_exchange_weak(cur, target, std::memory_order_acq_rel,
                                     std::memory_order_acquire)) {
       return true;
@@ -32,8 +34,9 @@ void TraceRing::Record(uint8_t kind, std::string_view qualifier,
   const uint64_t ticket = head_.fetch_add(1, std::memory_order_relaxed);
   Slot& slot = slots_[ticket & mask_];
 
-  // Claim the slot; if a newer lap already owns it, drop this event.
-  if (!AdvanceStamp(slot.stamp, 2 * ticket + 1)) return;
+  // Claim the slot; if a newer lap owns it or an older lap is still
+  // writing it, drop this event.
+  if (!ClaimStamp(slot.stamp, 2 * ticket + 1)) return;
 
   slot.ts_micros.store(ts_micros, std::memory_order_relaxed);
   slot.dispatch_micros.store(dispatch_micros, std::memory_order_relaxed);
@@ -51,8 +54,8 @@ void TraceRing::Record(uint8_t kind, std::string_view qualifier,
   slot.qualifier_len.store(static_cast<uint8_t>(len),
                            std::memory_order_relaxed);
 
-  // Publish; if a newer writer raced past us the stamp is already ahead.
-  AdvanceStamp(slot.stamp, 2 * ticket + 2);
+  // Publish; the odd stamp kept every other writer out meanwhile.
+  slot.stamp.store(2 * ticket + 2, std::memory_order_release);
 }
 
 std::vector<TraceEvent> TraceRing::Snapshot() const {

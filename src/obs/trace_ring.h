@@ -3,14 +3,13 @@
 // Producers are session threads dispatching monitor events; they must never
 // block, so the ring is lock-free: a ticket counter assigns slots and each
 // slot carries a stamp encoding write progress (2*ticket+1 = write begun,
-// 2*ticket+2 = write complete). Stamps only move forward (monotonic CAS), so
-// a slow writer that lost its slot to a newer lap simply skips publication.
-// Payload fields are individually-relaxed atomics rather than plain fields
-// behind a seqlock — this keeps the protocol free of data races (TSan-clean)
-// at the cost of a torn-but-detected read: Snapshot() re-checks the stamp
-// and drops any slot that changed mid-read. On a ring lap it is possible for
-// a slot to expose a mix of two *completed* writes' fields; snapshots are
-// diagnostics, not audit logs, and the enclosing test tolerance reflects it.
+// 2*ticket+2 = write complete). Stamps only move forward, and a writer claims
+// a slot only from an even stamp (monotonic CAS), so one writer at a time
+// fills a slot: a writer whose slot a newer lap already owns, or an older lap
+// is still filling, drops its event. Payload fields are individually-relaxed
+// atomics rather than plain fields behind a seqlock — this keeps the protocol
+// free of data races (TSan-clean) at the cost of a torn-but-detected read:
+// Snapshot() re-checks the stamp and drops any slot that changed mid-read.
 #ifndef SQLCM_OBS_TRACE_RING_H_
 #define SQLCM_OBS_TRACE_RING_H_
 
@@ -76,9 +75,10 @@ class TraceRing {
     std::array<std::atomic<uint64_t>, 3> qualifier_words{};
   };
 
-  /// Advance `stamp` to `target` only if it is currently older; returns false
-  /// when a newer ticket already owns the slot.
-  static bool AdvanceStamp(std::atomic<uint64_t>& stamp, uint64_t target);
+  /// Advance `stamp` to the odd `target` only if it is currently older and
+  /// even; returns false when a newer ticket owns the slot or an older one
+  /// is still writing it.
+  static bool ClaimStamp(std::atomic<uint64_t>& stamp, uint64_t target);
 
   size_t capacity_;       // power of two
   size_t mask_;

@@ -851,9 +851,10 @@ void Lat::EvictOverBudget(int64_t now_micros, bool notify) {
   if (victims.empty()) return;
   stats_.evictions.Inc(victims.size());
 
-  // Materialize victims (row latch only) when anyone listens, then notify
-  // outside all latches.
-  if (notify && evict_callback_) {
+  // Materialize victims (row latch only) only when someone listens, then
+  // notify outside all latches; otherwise the strong references drop here.
+  if (notify && evict_callback_ &&
+      evict_observed_.load(std::memory_order_acquire)) {
     std::vector<Row> evicted_rows;
     evicted_rows.reserve(victims.size());
     for (const auto& victim : victims) {

@@ -9,8 +9,10 @@
 //     non-aging only);
 //   * a maximum size (rows) with ordering columns: when an insertion
 //     violates the size bound the "least important" row (the one that
-//     sorts last under the declared ordering) is evicted, and the evicted
-//     row is exposed as a monitored object via the evict callback;
+//     sorts last under the declared ordering) is evicted; while evictions
+//     are observed (set_evict_observed) the evicted row is materialized and
+//     exposed as a monitored object via the evict callback, otherwise it is
+//     only unlinked, freed and counted;
 //   * persist-to-table and seed-from-table (restart continuity).
 //
 // Concurrency (paper §6.1): rule evaluation and LAT updates run in the
@@ -199,6 +201,12 @@ class Lat {
 
   void set_evict_callback(EvictCallback callback) {
     evict_callback_ = std::move(callback);
+  }
+  /// Whether evicted rows are materialized and passed to the evict callback
+  /// (default: yes). The monitor clears it while no enabled rule listens on
+  /// `<LAT>.Evict`; victims are then only unlinked, freed and counted.
+  void set_evict_observed(bool observed) {
+    evict_observed_.store(observed, std::memory_order_release);
   }
 
   // -- Mutation --------------------------------------------------------------
@@ -499,7 +507,8 @@ class Lat {
                     common::Row ordering_key, size_t row_bytes);
   /// While over the row/byte budget, evicts the globally least-important
   /// row (scans shard heap roots under the evict latch). Materializes and
-  /// notifies victims via the evict callback when `notify` is set.
+  /// notifies victims via the evict callback when `notify` is set and
+  /// evictions are observed.
   void EvictOverBudget(int64_t now_micros, bool notify);
   bool OverBudget() const {
     const size_t rows = total_rows_.load(std::memory_order_acquire);
@@ -524,6 +533,7 @@ class Lat {
   std::vector<AttributeGetter> agg_getters_;  // null entry for plain COUNT
   std::vector<int> ordering_columns_;          // indexes into materialized row
   EvictCallback evict_callback_;
+  std::atomic<bool> evict_observed_{true};
 
   size_t shard_count_ = 1;  // power of two
   /// Any QUANTILE/DISTINCT aggregate in the spec (state records then use

@@ -273,6 +273,8 @@ Status MonitorEngine::DefineLat(LatSpec spec) {
   if (lats_.count(key) != 0) {
     return Status::AlreadyExists("LAT '" + raw->name() + "' already exists");
   }
+  raw->set_evict_observed(
+      ListensOnEvict(*rule_table_.load(std::memory_order_acquire), key));
   lats_.emplace(key, std::move(lat));
   return Status::OK();
 }
@@ -606,6 +608,10 @@ void MonitorEngine::RebuildRuleTableLocked() {
                                !table->deferred_by_event[kind].empty(),
                            std::memory_order_release);
   }
+  // Evicted rows are materialized only for LATs an enabled rule listens on.
+  for (const auto& [key, lat] : lats_) {
+    lat->set_evict_observed(ListensOnEvict(*table, key));
+  }
   rule_table_.store(std::move(table), std::memory_order_release);
   track_transactions_.store(track_txns, std::memory_order_release);
   // Blocking attribution and the concurrency probe both need the global
@@ -615,6 +621,17 @@ void MonitorEngine::RebuildRuleTableLocked() {
   track_concurrency_.store(track_concurrency, std::memory_order_release);
   track_blocking_.store(track_blocking, std::memory_order_release);
   monitoring_active_.store(any_enabled, std::memory_order_release);
+}
+
+bool MonitorEngine::ListensOnEvict(const RuleTable& table,
+                                   const std::string& lat_key) {
+  // `.Evict` rules always run inline (kLatEvict is not deferrable), and
+  // their qualifier is the lower-cased LAT name.
+  const auto& rules =
+      table.by_event[static_cast<size_t>(EventKind::kLatEvict)];
+  return std::any_of(rules.begin(), rules.end(), [&](const auto& rule) {
+    return rule->event.qualifier == lat_key;
+  });
 }
 
 void MonitorEngine::MaybeReorderPredicates() {
@@ -1379,33 +1396,7 @@ void MonitorEngine::FireEvent(EventKind kind, const std::string& qualifier,
                   base_ctx->now_micros,
                   db_->clock()->NowMicros() - base_ctx->now_micros);
   }
-  if (--RuleDepth() == 0) {
-    // Drain deferred eviction events; each may enqueue more (bounded to
-    // guard against pathological rule cycles).
-    auto& pending = PendingEvictions();
-    size_t processed = 0;
-    while (!pending.empty()) {
-      metrics_.deferred_events.Inc();
-      if (++processed > 100000) {
-        RecordError(Status::ResourceExhausted(
-            "deferred-event cascade exceeded 100000 events; dropping rest"));
-        pending.clear();
-        break;
-      }
-      PendingEviction eviction = std::move(pending.front());
-      pending.erase(pending.begin());
-      // Re-seat the trace frame under the action span that caused this
-      // eviction, so the deferred event parents correctly in the tree.
-      if (frame != nullptr && frame->active) {
-        frame->parent_span = eviction.parent_span;
-        frame->depth = eviction.depth;
-      }
-      EvalContext ctx;
-      ctx.evicted_lat = eviction.lat;
-      ctx.evicted_row = &eviction.row;
-      FireEvent(EventKind::kLatEvict, eviction.lat->lower_name(), &ctx);
-    }
-  }
+  if (--RuleDepth() == 0) DrainPendingEvictions(frame);
   if (options_.predicate_index && options_.learned_predicate_order &&
       options_.predicate_reorder_interval > 0 &&
       seq % options_.predicate_reorder_interval ==
@@ -1693,32 +1684,10 @@ void MonitorEngine::DispatchDeferredEvent(
     trace_.Record(static_cast<uint8_t>(ev.kind), "", fired_here,
                   ev.now_micros, db_->clock()->NowMicros() - ev.now_micros);
   }
-  if (--RuleDepth() == 0) {
-    // Deferred rules buffer their LAT inserts, so evictions normally pend
-    // only at flush time (RuleDepth 0 -> immediate dispatch); drain any
-    // stragglers for parity with FireEvent.
-    auto& pending = PendingEvictions();
-    size_t processed = 0;
-    while (!pending.empty()) {
-      metrics_.deferred_events.Inc();
-      if (++processed > 100000) {
-        RecordError(Status::ResourceExhausted(
-            "deferred-event cascade exceeded 100000 events; dropping rest"));
-        pending.clear();
-        break;
-      }
-      PendingEviction eviction = std::move(pending.front());
-      pending.erase(pending.begin());
-      if (frame != nullptr && frame->active) {
-        frame->parent_span = eviction.parent_span;
-        frame->depth = eviction.depth;
-      }
-      EvalContext evict_ctx;
-      evict_ctx.evicted_lat = eviction.lat;
-      evict_ctx.evicted_row = &eviction.row;
-      FireEvent(EventKind::kLatEvict, eviction.lat->lower_name(), &evict_ctx);
-    }
-  }
+  // Deferred rules buffer their LAT inserts, so evictions normally pend
+  // only at flush time (RuleDepth 0 -> immediate dispatch); drain any
+  // stragglers for parity with FireEvent.
+  if (--RuleDepth() == 0) DrainPendingEvictions(frame);
   if (trace_root) {
     slow_traces_.Offer(frame->trace_id, frame->total_nanos, frame->spans);
     if (frame->overflowed) metrics_.profile_trace_overflows.Inc();
@@ -2179,6 +2148,37 @@ void MonitorEngine::HandleEviction(Lat* lat, Row evicted) {
   ctx.evicted_lat = lat;
   ctx.evicted_row = &evicted;
   FireEvent(EventKind::kLatEvict, lat->lower_name(), &ctx);
+}
+
+void MonitorEngine::DrainPendingEvictions(TraceFrame* frame) {
+  std::vector<PendingEviction>& pending = PendingEvictions();
+  // One FIFO walk by index. RuleDepth stays above 0 meanwhile, so evict
+  // events dispatched here append their own evictions to `pending` for this
+  // loop instead of draining it recursively. Bounded to guard against
+  // pathological rule cycles.
+  ++RuleDepth();
+  for (size_t i = 0; i < pending.size(); ++i) {
+    metrics_.deferred_events.Inc();
+    if (i >= 100000) {
+      RecordError(Status::ResourceExhausted(
+          "deferred-event cascade exceeded 100000 events; dropping rest"));
+      break;
+    }
+    // Moved out: the dispatch below may grow (and reallocate) the vector.
+    PendingEviction eviction = std::move(pending[i]);
+    // Re-seat the trace frame under the action span that caused this
+    // eviction, so the deferred event parents correctly in the tree.
+    if (frame != nullptr && frame->active) {
+      frame->parent_span = eviction.parent_span;
+      frame->depth = eviction.depth;
+    }
+    EvalContext ctx;
+    ctx.evicted_lat = eviction.lat;
+    ctx.evicted_row = &eviction.row;
+    FireEvent(EventKind::kLatEvict, eviction.lat->lower_name(), &ctx);
+  }
+  pending.clear();
+  --RuleDepth();
 }
 
 void MonitorEngine::HandleTimerAlarm(const TimerRecord& timer) {

@@ -347,6 +347,10 @@ class MonitorEngine final : public engine::MonitorHooks,
       EventKind kind) const;
 
   void RebuildRuleTableLocked();
+  /// True when an enabled rule in `table` listens on `<lat_key>.Evict`
+  /// (lat_key lower-cased); such LATs materialize their evicted rows.
+  static bool ListensOnEvict(const RuleTable& table,
+                             const std::string& lat_key);
 
   /// Dispatches all rules for (kind, qualifier) against `base_ctx`,
   /// handling unbound-class iteration and deferred side-effect events.
@@ -405,6 +409,9 @@ class MonitorEngine final : public engine::MonitorHooks,
   std::string SubstituteTemplate(const std::string& text, EvalContext* ctx);
 
   void HandleEviction(Lat* lat, common::Row evicted);
+  /// Dispatches the evictions this thread's rules pended (FIFO, including
+  /// those the dispatched events cause); called once RuleDepth unwinds to 0.
+  void DrainPendingEvictions(TraceFrame* frame);
   void HandleTimerAlarm(const TimerRecord& timer);
   void RecordError(const common::Status& status);
 

@@ -46,7 +46,7 @@ struct MonitorMetrics {
   obs::Counter events_processed;  // events with >= 1 registered rule
   obs::Counter rules_fired;       // rules whose actions ran
   obs::Counter errors_total;      // condition/action/persist failures
-  obs::Counter deferred_events;   // LAT evictions dispatched after unwind
+  obs::Counter deferred_events;   // listened-to LAT evictions, after unwind
   obs::LatencyHistogram signature_micros;   // per-compile signature cost
   obs::LatencyHistogram timer_drift_micros;  // scheduled-vs-actual firing
 

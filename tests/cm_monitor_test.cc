@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <thread>
 
 #include "engine/session.h"
@@ -164,6 +165,84 @@ TEST_F(MonitorTest, TopKLatWithEvictionRule) {
   storage::Table* evicted = db_.catalog()->GetTable("EvictedQ");
   ASSERT_NE(evicted, nullptr);
   EXPECT_EQ(evicted->row_count(), 7u);
+  EXPECT_TRUE(monitor_.last_error().empty()) << monitor_.last_error();
+}
+
+TEST_F(MonitorTest, EvictionDispatchFollowsListenerLifecycle) {
+  LatSpec top;
+  top.name = "TopL";
+  top.group_by = {{"ID", ""}};
+  top.aggregates = {{LatAggFunc::kMax, "Duration", "Dur", false}};
+  top.ordering = {{"Dur", true}};
+  top.max_rows = 3;
+  ASSERT_TRUE(monitor_.DefineLat(std::move(top)).ok());
+  Lat* lat = monitor_.FindLat("TopL");
+  ASSERT_NE(lat, nullptr);
+
+  RuleSpec feed;
+  feed.name = "feed";
+  feed.event = "Query.Commit";
+  feed.action = "Query.Insert(TopL)";
+  ASSERT_TRUE(monitor_.AddRule(feed).ok());
+
+  // Every statement is a new group (grouped by query ID), so once the LAT
+  // holds 3 rows each statement evicts exactly one.
+  auto run = [&](int statements) {
+    for (int i = 0; i < statements; ++i) {
+      Exec("SELECT val FROM items WHERE id = " + std::to_string(i));
+    }
+  };
+  auto evictions = [&] { return lat->stats().evictions.value(); };
+  auto dispatched = [&] { return monitor_.metrics().deferred_events.value(); };
+  auto spilled = [&]() -> size_t {
+    storage::Table* t = db_.catalog()->GetTable("Spilled");
+    return t == nullptr ? 0 : t->row_count();
+  };
+
+  // No listener: evictions are still counted but never dispatched.
+  run(6);
+  EXPECT_EQ(evictions(), 3u);
+  EXPECT_EQ(dispatched(), 0u);
+  EXPECT_EQ(lat->size(), 3u);
+
+  // A listener created mid-stream sees exactly the evictions after it.
+  RuleSpec on_evict;
+  on_evict.name = "spill";
+  on_evict.event = "TopL.Evict";
+  on_evict.action = "Evicted.Persist(Spilled)";
+  auto spill_id = monitor_.AddRule(on_evict);
+  ASSERT_TRUE(spill_id.ok()) << spill_id.status();
+  run(5);
+  EXPECT_EQ(evictions(), 8u);
+  EXPECT_EQ(dispatched(), 5u);
+  ASSERT_EQ(spilled(), 5u);
+  // The spilled rows are the victims: distinct groups, none still live.
+  std::vector<common::Row> keys, rows;
+  db_.catalog()->GetTable("Spilled")->ScanBatch(std::nullopt, 16, &keys, &rows);
+  std::set<int64_t> spilled_ids;
+  for (const auto& row : rows) spilled_ids.insert(row[0].int_value());
+  EXPECT_EQ(spilled_ids.size(), 5u);
+  for (const auto& row : lat->Snapshot(0)) {
+    EXPECT_EQ(spilled_ids.count(row[0].int_value()), 0u);
+  }
+
+  // Disabling the listener stops dispatch; re-enabling resumes it.
+  ASSERT_TRUE(monitor_.SetRuleEnabled(*spill_id, false).ok());
+  run(4);
+  EXPECT_EQ(evictions(), 12u);
+  EXPECT_EQ(dispatched(), 5u);
+  EXPECT_EQ(spilled(), 5u);
+  ASSERT_TRUE(monitor_.SetRuleEnabled(*spill_id, true).ok());
+  run(2);
+  EXPECT_EQ(dispatched(), 7u);
+  EXPECT_EQ(spilled(), 7u);
+
+  // Dropping it stops dispatch again.
+  ASSERT_TRUE(monitor_.RemoveRule(*spill_id).ok());
+  run(3);
+  EXPECT_EQ(evictions(), 17u);
+  EXPECT_EQ(dispatched(), 7u);
+  EXPECT_EQ(spilled(), 7u);
   EXPECT_TRUE(monitor_.last_error().empty()) << monitor_.last_error();
 }
 
