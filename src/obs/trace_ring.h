@@ -1,25 +1,17 @@
-// Bounded multi-producer event-trace ring for the monitor engine.
-//
-// Producers are session threads dispatching monitor events; they must never
-// block, so the ring is lock-free: a ticket counter assigns slots and each
-// slot carries a stamp encoding write progress (2*ticket+1 = write begun,
-// 2*ticket+2 = write complete). Stamps only move forward, and a writer claims
-// a slot only from an even stamp (monotonic CAS), so one writer at a time
-// fills a slot: a writer whose slot a newer lap already owns, or an older lap
-// is still filling, drops its event. Payload fields are individually-relaxed
-// atomics rather than plain fields behind a seqlock — this keeps the protocol
-// free of data races (TSan-clean) at the cost of a torn-but-detected read:
-// Snapshot() re-checks the stamp and drops any slot that changed mid-read.
+// Bounded multi-producer event-trace ring for the monitor engine: one
+// fixed-size record per dispatched event, on the shared stamped-ring
+// protocol (stamped_ring.h). The qualifier is stored truncated to
+// kMaxQualifierBytes, plus the hash of the full text.
 #ifndef SQLCM_OBS_TRACE_RING_H_
 #define SQLCM_OBS_TRACE_RING_H_
 
-#include <array>
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "obs/stamped_ring.h"
 
 namespace sqlcm::obs {
 
@@ -38,7 +30,7 @@ class TraceRing {
   static constexpr size_t kMaxQualifierBytes = 24;
 
   /// Capacity is rounded up to a power of two (minimum 2).
-  explicit TraceRing(size_t capacity = 1024);
+  explicit TraceRing(size_t capacity = 1024) : ring_(capacity) {}
 
   void set_enabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
@@ -51,41 +43,19 @@ class TraceRing {
   /// Slots mid-write or reclaimed by a concurrent lap are skipped.
   std::vector<TraceEvent> Snapshot() const;
 
-  uint64_t total_recorded() const {
-    return head_.load(std::memory_order_relaxed);
-  }
+  uint64_t total_recorded() const { return ring_.total_recorded(); }
   /// Slots a Snapshot() had to discard because a concurrent writer touched
   /// them mid-read (torn) or still owned them (mid-write). Cumulative across
   /// all snapshots; surfaced in sqlcm_engine_stats so a reader can tell how
   /// lossy its view of a busy ring is.
-  uint64_t snapshot_drops() const {
-    return snapshot_drops_.load(std::memory_order_relaxed);
-  }
-  size_t capacity() const { return capacity_; }
+  uint64_t snapshot_drops() const { return ring_.snapshot_drops(); }
+  size_t capacity() const { return ring_.capacity(); }
 
  private:
-  struct Slot {
-    std::atomic<uint64_t> stamp{0};  // 0 = empty; odd = writing; even = done
-    std::atomic<int64_t> ts_micros{0};
-    std::atomic<int64_t> dispatch_micros{0};
-    std::atomic<uint64_t> qualifier_hash{0};
-    std::atomic<uint32_t> rules_fired{0};
-    std::atomic<uint8_t> kind{0};
-    std::atomic<uint8_t> qualifier_len{0};
-    std::array<std::atomic<uint64_t>, 3> qualifier_words{};
-  };
-
-  /// Advance `stamp` to the odd `target` only if it is currently older and
-  /// even; returns false when a newer ticket owns the slot or an older one
-  /// is still writing it.
-  static bool ClaimStamp(std::atomic<uint64_t>& stamp, uint64_t target);
-
-  size_t capacity_;       // power of two
-  size_t mask_;
-  std::unique_ptr<Slot[]> slots_;
-  std::atomic<uint64_t> head_{0};    // next ticket to hand out
+  // Words: ts, dispatch, qualifier hash, rules_fired|kind<<32|len<<40,
+  // then the truncated qualifier bytes.
+  StampedRing<7> ring_;
   std::atomic<bool> enabled_{false};
-  mutable std::atomic<uint64_t> snapshot_drops_{0};
 };
 
 }  // namespace sqlcm::obs

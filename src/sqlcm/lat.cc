@@ -654,6 +654,7 @@ void Lat::Insert(const void* record, int64_t now_micros) {
                                            : Value::Int(1);
       FoldValue(&row->aggs[a], spec_.aggregates[a], std::move(v), now_micros);
     }
+    row->filled = true;
     if (bounded) {
       ordering_key = OrderingKeyLocked(*row, now_micros);
       if (spec_.max_bytes > 0) {
@@ -756,6 +757,7 @@ void Lat::InsertBatch(const LatBatchItem* items, size_t count) {
         }
         row_now = items[i].now_micros;
       }
+      row->filled = true;
       if (bounded) {
         ordering_key = OrderingKeyLocked(*row, row_now);
         if (spec_.max_bytes > 0) {
@@ -915,6 +917,7 @@ bool Lat::LookupByKey(const Row& group_key, int64_t now_micros,
   }
   if (row == nullptr) return false;
   std::lock_guard<common::SpinLatch> row_guard(row->latch);
+  if (!row->filled) return false;
   *out = MaterializeLocked(*row, now_micros);
   return true;
 }
@@ -936,7 +939,7 @@ std::vector<Row> Lat::Snapshot(int64_t now_micros) const {
   out.reserve(rows.size());
   for (const auto& row : rows) {
     std::lock_guard<common::SpinLatch> row_guard(row->latch);
-    out.push_back(MaterializeLocked(*row, now_micros));
+    if (row->filled) out.push_back(MaterializeLocked(*row, now_micros));
   }
   if (!ordering_columns_.empty()) {
     const auto& ordering_cols = ordering_columns_;
@@ -1165,6 +1168,7 @@ Status Lat::PersistTo(storage::Table* table, int64_t timestamp_micros,
 bool Lat::AdoptSeededRow(std::shared_ptr<LatRow> row, int64_t now_micros) {
   const uint64_t hash = row->hash;
   Shard& shard = ShardFor(hash);
+  row->filled = true;  // not yet shared: no latch needed
   {
     std::lock_guard<common::SpinLatch> map_guard(shard.map_latch);
     if (FindInShardLocked(shard, hash, row->group_key) != nullptr) {
@@ -1392,6 +1396,7 @@ Status Lat::ExportState(storage::Table* table,
     record.reserve(width);
     {
       std::lock_guard<common::SpinLatch> row_guard(row->latch);
+      if (!row->filled) continue;
       record.insert(record.end(), row->group_key.begin(),
                     row->group_key.end());
       AppendStateAggs(row->aggs, &record);
@@ -1868,6 +1873,7 @@ Status Lat::MergeState(const storage::Table& table, int64_t now_micros) {
           FoldAggState(&row->aggs[a], incoming[a]);
           PruneMergedBlocks(&row->aggs[a], now_micros);
         }
+        row->filled = true;
         if (bounded) {
           ordering_key = OrderingKeyLocked(*row, now_micros);
           row->ordering_cache = ordering_key;

@@ -428,6 +428,10 @@ class Lat {
     common::Row ordering_key;    // key the heap position reflects
     size_t heap_index = SIZE_MAX;
     size_t approx_bytes = 0;  // accounted share of total_bytes_
+    /// Set (under `latch`) by the first fold, seed or import. Insert links
+    /// a new group before folding into it, so readers skip unfilled rows:
+    /// under §5.2 the group does not exist until a record lands in it.
+    bool filled = false;
     bool evicted = false;
     std::atomic<bool> in_heap{false};
     mutable common::SpinLatch latch;

@@ -157,39 +157,71 @@ catalog::ColumnType ColumnTypeForKind(ValueKind kind) {
   }
 }
 
-/// Per-hook instrumentation guard: always counts the call; times it (two
-/// clock reads) only while monitoring is active, so the no-rules fast path
-/// never touches the clock. Timed hooks feed the LoadGovernor's overhead
-/// estimate, and honour the `monitor.hook.slow` chaos fault.
-class HookTimer {
+std::vector<catalog::Column> ColumnsFor(const std::vector<std::string>& names,
+                                        const std::vector<ValueKind>& kinds) {
+  std::vector<catalog::Column> columns;
+  columns.reserve(names.size());
+  for (size_t i = 0; i < names.size(); ++i) {
+    columns.push_back({names[i], ColumnTypeForKind(kinds[i])});
+  }
+  return columns;
+}
+
+/// Builds a transient (non-catalog) LAT snapshot staging table: `cols` plus
+/// a trailing persist_ts. v2/v3 snapshots stage Lat::StateColumnNames; v1
+/// snapshots and RestoreLat's legacy path stage the materialized columns.
+Result<std::unique_ptr<storage::Table>> MakeStagingTable(
+    const Lat& lat, std::vector<std::string> cols,
+    std::vector<ValueKind> kinds) {
+  cols.push_back("persist_ts");
+  kinds.push_back(ValueKind::kInt);
+  SQLCM_ASSIGN_OR_RETURN(
+      auto schema, catalog::TableSchema::Create(lat.name() + "_checkpoint",
+                                                ColumnsFor(cols, kinds), {}));
+  return std::make_unique<storage::Table>(0, std::move(schema));
+}
+
+}  // namespace
+
+/// Per-hook instrumentation guard: always counts the call; while monitoring
+/// is inactive counts a fast-path call and never touches the clock,
+/// otherwise times the hook (two clock reads). Timed hooks feed the
+/// LoadGovernor's overhead estimate, and honour the `monitor.hook.slow`
+/// chaos fault.
+class MonitorEngine::HookTimer {
  public:
-  HookTimer(common::Clock* clock, MonitorMetrics::HookStats* stats,
-            bool active, LoadGovernor* governor)
-      : clock_(clock), stats_(stats), active_(active), governor_(governor) {
+  HookTimer(MonitorEngine* engine, MonitorHook hook)
+      : engine_(engine),
+        stats_(&engine->metrics_.hooks[static_cast<size_t>(hook)]),
+        active_(engine->MonitoringActive()) {
     stats_->calls.Inc();
-    if (active_) start_ = clock_->NowMicros();
+    if (active_) {
+      start_ = engine_->db_->clock()->NowMicros();
+    } else {
+      engine_->metrics_.fast_path_calls.Inc();
+    }
   }
   ~HookTimer() {
     if (!active_) return;
+    common::Clock* clock = engine_->db_->clock();
     if (common::FaultFires(kFaultHookSlow)) {
-      clock_->SleepMicros(kFaultHookSlowMicros);
+      clock->SleepMicros(kFaultHookSlowMicros);
     }
-    const int64_t end = clock_->NowMicros();
+    const int64_t end = clock->NowMicros();
     stats_->latency.Record(end - start_);
-    governor_->RecordHook(end - start_, end);
+    engine_->governor_.RecordHook(end - start_, end);
   }
   HookTimer(const HookTimer&) = delete;
   HookTimer& operator=(const HookTimer&) = delete;
 
+  bool active() const { return active_; }
+
  private:
-  common::Clock* clock_;
+  MonitorEngine* engine_;
   MonitorMetrics::HookStats* stats_;
   const bool active_;
-  LoadGovernor* governor_;
   int64_t start_ = 0;
 };
-
-}  // namespace
 
 MonitorEngine::MonitorEngine(engine::Database* db, Options options)
     : db_(db),
@@ -273,8 +305,7 @@ Status MonitorEngine::DefineLat(LatSpec spec) {
   if (lats_.count(key) != 0) {
     return Status::AlreadyExists("LAT '" + raw->name() + "' already exists");
   }
-  raw->set_evict_observed(
-      ListensOnEvict(*rule_table_.load(std::memory_order_acquire), key));
+  raw->set_evict_observed(ListensOnEvict(*LoadRuleTable(), key));
   lats_.emplace(key, std::move(lat));
   return Status::OK();
 }
@@ -349,47 +380,15 @@ Status MonitorEngine::SeedLat(std::string_view lat_name,
   return lat->SeedFrom(*table, db_->clock()->NowMicros());
 }
 
-Result<std::unique_ptr<storage::Table>> MonitorEngine::MakeLatStagingTable(
-    const Lat& lat) const {
-  std::vector<std::string> cols = lat.column_names();
-  std::vector<ValueKind> kinds = lat.column_kinds();
-  cols.push_back("persist_ts");
-  kinds.push_back(ValueKind::kInt);
-  std::vector<catalog::Column> columns;
-  columns.reserve(cols.size());
-  for (size_t i = 0; i < cols.size(); ++i) {
-    columns.push_back({cols[i], ColumnTypeForKind(kinds[i])});
-  }
-  SQLCM_ASSIGN_OR_RETURN(
-      auto schema, catalog::TableSchema::Create(lat.name() + "_checkpoint",
-                                                std::move(columns), {}));
-  return std::make_unique<storage::Table>(0, std::move(schema));
-}
-
-Result<std::unique_ptr<storage::Table>> MonitorEngine::MakeLatStateStagingTable(
-    const Lat& lat) const {
-  std::vector<std::string> cols = lat.StateColumnNames();
-  std::vector<ValueKind> kinds = lat.StateColumnKinds();
-  cols.push_back("persist_ts");
-  kinds.push_back(ValueKind::kInt);
-  std::vector<catalog::Column> columns;
-  columns.reserve(cols.size());
-  for (size_t i = 0; i < cols.size(); ++i) {
-    columns.push_back({cols[i], ColumnTypeForKind(kinds[i])});
-  }
-  SQLCM_ASSIGN_OR_RETURN(
-      auto schema, catalog::TableSchema::Create(lat.name() + "_checkpoint",
-                                                std::move(columns), {}));
-  return std::make_unique<storage::Table>(0, std::move(schema));
-}
-
 Status MonitorEngine::CheckpointLat(std::string_view lat_name,
                                     const std::string& file_path) {
   Lat* lat = FindLat(lat_name);
   if (lat == nullptr) {
     return Status::NotFound("LAT '" + std::string(lat_name) + "' not found");
   }
-  SQLCM_ASSIGN_OR_RETURN(auto staging, MakeLatStateStagingTable(*lat));
+  SQLCM_ASSIGN_OR_RETURN(
+      auto staging,
+      MakeStagingTable(*lat, lat->StateColumnNames(), lat->StateColumnKinds()));
   const int64_t now = db_->clock()->NowMicros();
   // Checkpoint I/O span: standalone (trace_id 0) — checkpoints run from
   // operator/maintenance threads, outside any event dispatch.
@@ -449,7 +448,9 @@ Status MonitorEngine::RestoreLat(std::string_view lat_name,
                                 ? storage::kSnapshotVersionV3
                                 : storage::kSnapshotVersionV2;
   {
-    SQLCM_ASSIGN_OR_RETURN(auto staging, MakeLatStateStagingTable(*lat));
+    SQLCM_ASSIGN_OR_RETURN(
+        auto staging, MakeStagingTable(*lat, lat->StateColumnNames(),
+                                       lat->StateColumnKinds()));
     storage::SnapshotLoadInfo info;
     Status status =
         storage::LoadTableCsv(staging.get(), file_path, nullptr, &info);
@@ -463,7 +464,9 @@ Status MonitorEngine::RestoreLat(std::string_view lat_name,
   // this path inside SeedFrom (their state cannot be reconstructed from
   // materialized rows), so a stale/foreign snapshot surfaces as a clean
   // error instead of seeding garbage.
-  SQLCM_ASSIGN_OR_RETURN(auto staging, MakeLatStagingTable(*lat));
+  SQLCM_ASSIGN_OR_RETURN(
+      auto staging,
+      MakeStagingTable(*lat, lat->column_names(), lat->column_kinds()));
   storage::SnapshotLoadInfo info;
   Status status =
       storage::LoadTableCsv(staging.get(), file_path, nullptr, &info);
@@ -612,7 +615,7 @@ void MonitorEngine::RebuildRuleTableLocked() {
   for (const auto& [key, lat] : lats_) {
     lat->set_evict_observed(ListensOnEvict(*table, key));
   }
-  rule_table_.store(std::move(table), std::memory_order_release);
+  PublishRuleTable(std::move(table));
   track_transactions_.store(track_txns, std::memory_order_release);
   // Blocking attribution and the concurrency probe both need the global
   // registries.
@@ -639,24 +642,22 @@ void MonitorEngine::MaybeReorderPredicates() {
   // holds the registry lock — dispatch must never wait on writers.
   std::unique_lock<std::mutex> lock(registry_mutex_, std::try_to_lock);
   if (!lock.owns_lock()) return;
-  const std::shared_ptr<const RuleTable> current =
-      rule_table_.load(std::memory_order_acquire);
+  const std::shared_ptr<const RuleTable> current = LoadRuleTable();
   // Copy-on-write republish: the live table is immutable to readers, so the
-  // re-ranked walk order lands as a fresh RCU snapshot. Stats objects are
+  // re-ranked walk order lands as a fresh snapshot. Stats objects are
   // shared (registry-owned), so EWMAs keep accumulating across the swap.
   auto table = std::make_shared<RuleTable>(*current);
   for (size_t kind = 0; kind < kNumEventKinds; ++kind) {
     ReorderPredicateIndex(&table->sync_index[kind]);
     ReorderPredicateIndex(&table->deferred_index[kind]);
   }
-  rule_table_.store(std::move(table), std::memory_order_release);
+  PublishRuleTable(std::move(table));
   metrics_.predindex_reorders.Inc();
 }
 
 std::vector<MonitorEngine::PredicateStatRow>
 MonitorEngine::SnapshotPredicateStats() const {
-  const std::shared_ptr<const RuleTable> table =
-      rule_table_.load(std::memory_order_acquire);
+  const std::shared_ptr<const RuleTable> table = LoadRuleTable();
   std::vector<PredicateStatRow> out;
   for (size_t kind = 0; kind < kNumEventKinds; ++kind) {
     const struct {
@@ -682,13 +683,6 @@ MonitorEngine::SnapshotPredicateStats() const {
     }
   }
   return out;
-}
-
-std::vector<std::shared_ptr<const CompiledRule>> MonitorEngine::RulesFor(
-    EventKind kind) const {
-  const std::shared_ptr<const RuleTable> table =
-      rule_table_.load(std::memory_order_acquire);
-  return table->by_event[static_cast<size_t>(kind)];
 }
 
 // ---------------------------------------------------------------------------
@@ -766,14 +760,8 @@ void MonitorEngine::OnStatementCompiled(engine::CachedPlan* plan) {
 }
 
 void MonitorEngine::OnQueryStart(const engine::QueryInfo& info) {
-  const bool active = MonitoringActive();
-  HookTimer timer(
-      db_->clock(),
-      &metrics_.hooks[static_cast<size_t>(MonitorHook::kQueryStart)], active, &governor_);
-  if (!active) {
-    metrics_.fast_path_calls.Inc();
-    return;
-  }
+  HookTimer timer(this, MonitorHook::kQueryStart);
+  if (!timer.active()) return;
   auto rec = std::make_shared<QueryRecord>();
   rec->id = info.query_id;
   if (info.plan_ref != nullptr && info.plan_ref->signatures_computed) {
@@ -824,7 +812,6 @@ void MonitorEngine::OnQueryStart(const engine::QueryInfo& info) {
 
 void MonitorEngine::FinishQuery(const engine::QueryInfo& info,
                                 EventKind terminal_event) {
-  if (!MonitoringActive()) return;
   // The record travels on the thread-local stack from the Start hook
   // (statements nest through EXEC, hence a search from the top).
   std::shared_ptr<QueryRecord> rec;
@@ -881,50 +868,22 @@ void MonitorEngine::FinishQuery(const engine::QueryInfo& info,
 }
 
 void MonitorEngine::OnQueryCommit(const engine::QueryInfo& info) {
-  const bool active = MonitoringActive();
-  HookTimer timer(
-      db_->clock(),
-      &metrics_.hooks[static_cast<size_t>(MonitorHook::kQueryCommit)], active, &governor_);
-  if (!active) {
-    metrics_.fast_path_calls.Inc();
-    return;
-  }
-  FinishQuery(info, EventKind::kQueryCommit);
+  HookTimer timer(this, MonitorHook::kQueryCommit);
+  if (timer.active()) FinishQuery(info, EventKind::kQueryCommit);
 }
 void MonitorEngine::OnQueryCancel(const engine::QueryInfo& info) {
-  const bool active = MonitoringActive();
-  HookTimer timer(
-      db_->clock(),
-      &metrics_.hooks[static_cast<size_t>(MonitorHook::kQueryCancel)], active, &governor_);
-  if (!active) {
-    metrics_.fast_path_calls.Inc();
-    return;
-  }
-  FinishQuery(info, EventKind::kQueryCancel);
+  HookTimer timer(this, MonitorHook::kQueryCancel);
+  if (timer.active()) FinishQuery(info, EventKind::kQueryCancel);
 }
 void MonitorEngine::OnQueryRollback(const engine::QueryInfo& info) {
-  const bool active = MonitoringActive();
-  HookTimer timer(
-      db_->clock(),
-      &metrics_.hooks[static_cast<size_t>(MonitorHook::kQueryRollback)],
-      active, &governor_);
-  if (!active) {
-    metrics_.fast_path_calls.Inc();
-    return;
-  }
-  FinishQuery(info, EventKind::kQueryRollback);
+  HookTimer timer(this, MonitorHook::kQueryRollback);
+  if (timer.active()) FinishQuery(info, EventKind::kQueryRollback);
 }
 
 void MonitorEngine::OnTransactionBegin(uint64_t session_id,
                                        txn::TxnId txn_id) {
-  const bool active = MonitoringActive();
-  HookTimer timer(db_->clock(),
-                  &metrics_.hooks[static_cast<size_t>(MonitorHook::kTxnBegin)],
-                  active, &governor_);
-  if (!active) {
-    metrics_.fast_path_calls.Inc();
-    return;
-  }
+  HookTimer timer(this, MonitorHook::kTxnBegin);
+  if (!timer.active()) return;
   if (!track_transactions_.load(std::memory_order_acquire)) return;
   auto rec = std::make_shared<TransactionRecord>();
   rec->id = txn_id;
@@ -939,30 +898,30 @@ void MonitorEngine::OnTransactionBegin(uint64_t session_id,
   FireEvent(EventKind::kTransactionBegin, "", &ctx);
 }
 
-namespace {
-
-void FinalizeTxnRecord(TransactionRecord* rec, int64_t duration_micros) {
-  rec->duration_secs = static_cast<double>(duration_micros) / 1e6;
-  Signature logical = TransactionSignature(rec->logical_seq);
-  Signature physical = TransactionSignature(rec->physical_seq);
-  rec->logical_signature = std::move(logical.text);
-  rec->physical_signature = std::move(physical.text);
-}
-
-}  // namespace
-
 void MonitorEngine::OnTransactionCommit(uint64_t session_id,
                                         txn::TxnId txn_id,
                                         int64_t duration_micros) {
   (void)session_id;
-  const bool active = MonitoringActive();
-  HookTimer timer(db_->clock(),
-                  &metrics_.hooks[static_cast<size_t>(MonitorHook::kTxnCommit)],
-                  active, &governor_);
-  if (!active) {
-    metrics_.fast_path_calls.Inc();
-    return;
+  HookTimer timer(this, MonitorHook::kTxnCommit);
+  if (timer.active()) {
+    FinishTransaction(txn_id, duration_micros, EventKind::kTransactionCommit);
   }
+}
+
+void MonitorEngine::OnTransactionRollback(uint64_t session_id,
+                                          txn::TxnId txn_id,
+                                          int64_t duration_micros) {
+  (void)session_id;
+  HookTimer timer(this, MonitorHook::kTxnRollback);
+  if (timer.active()) {
+    FinishTransaction(txn_id, duration_micros,
+                      EventKind::kTransactionRollback);
+  }
+}
+
+void MonitorEngine::FinishTransaction(txn::TxnId txn_id,
+                                      int64_t duration_micros,
+                                      EventKind terminal_event) {
   std::shared_ptr<TransactionRecord> rec;
   {
     std::lock_guard<std::mutex> lock(objects_mutex_);
@@ -976,40 +935,14 @@ void MonitorEngine::OnTransactionCommit(uint64_t session_id,
     blocker_at_block_time_.erase(txn_id);
   }
   if (rec == nullptr) return;
-  FinalizeTxnRecord(rec.get(), duration_micros);
+  rec->duration_secs = static_cast<double>(duration_micros) / 1e6;
+  Signature logical = TransactionSignature(rec->logical_seq);
+  Signature physical = TransactionSignature(rec->physical_seq);
+  rec->logical_signature = std::move(logical.text);
+  rec->physical_signature = std::move(physical.text);
   EvalContext& ctx = ThreadEvalScratch();
   ctx.Bind(MonitoredClass::kTransaction, rec.get());
-  FireEvent(EventKind::kTransactionCommit, "", &ctx, nullptr, rec);
-}
-
-void MonitorEngine::OnTransactionRollback(uint64_t session_id,
-                                          txn::TxnId txn_id,
-                                          int64_t duration_micros) {
-  (void)session_id;
-  const bool active = MonitoringActive();
-  HookTimer timer(
-      db_->clock(),
-      &metrics_.hooks[static_cast<size_t>(MonitorHook::kTxnRollback)], active, &governor_);
-  if (!active) {
-    metrics_.fast_path_calls.Inc();
-    return;
-  }
-  std::shared_ptr<TransactionRecord> rec;
-  {
-    std::lock_guard<std::mutex> lock(objects_mutex_);
-    auto it = active_txns_.find(txn_id);
-    if (it != active_txns_.end()) {
-      rec = it->second;
-      active_txns_.erase(it);
-    }
-    txn_query_stack_.erase(txn_id);
-    txn_last_query_.erase(txn_id);
-  }
-  if (rec == nullptr) return;
-  FinalizeTxnRecord(rec.get(), duration_micros);
-  EvalContext& ctx = ThreadEvalScratch();
-  ctx.Bind(MonitoredClass::kTransaction, rec.get());
-  FireEvent(EventKind::kTransactionRollback, "", &ctx, nullptr, rec);
+  FireEvent(terminal_event, "", &ctx, nullptr, rec);
 }
 
 // ---------------------------------------------------------------------------
@@ -1036,14 +969,8 @@ std::shared_ptr<QueryRecord> MonitorEngine::CurrentQueryOfTxn(
 
 void MonitorEngine::OnBlocked(txn::TxnId blocked, txn::TxnId blocker,
                               const txn::ResourceId& resource) {
-  const bool active = MonitoringActive();
-  HookTimer timer(db_->clock(),
-                  &metrics_.hooks[static_cast<size_t>(MonitorHook::kBlocked)],
-                  active, &governor_);
-  if (!active) {
-    metrics_.fast_path_calls.Inc();
-    return;
-  }
+  HookTimer timer(this, MonitorHook::kBlocked);
+  if (!timer.active()) return;
   if (!track_blocking_.load(std::memory_order_acquire)) return;
   std::shared_ptr<QueryRecord> blocked_rec = CurrentQueryOfTxn(blocked);
   if (blocked_rec == nullptr) return;
@@ -1068,15 +995,8 @@ void MonitorEngine::OnBlocked(txn::TxnId blocked, txn::TxnId blocker,
 void MonitorEngine::OnBlockReleased(txn::TxnId blocked, txn::TxnId blocker,
                                     const txn::ResourceId& resource,
                                     int64_t wait_micros) {
-  const bool active = MonitoringActive();
-  HookTimer timer(
-      db_->clock(),
-      &metrics_.hooks[static_cast<size_t>(MonitorHook::kBlockReleased)],
-      active, &governor_);
-  if (!active) {
-    metrics_.fast_path_calls.Inc();
-    return;
-  }
+  HookTimer timer(this, MonitorHook::kBlockReleased);
+  if (!timer.active()) return;
   if (!track_blocking_.load(std::memory_order_acquire)) return;
   std::shared_ptr<QueryRecord> blocked_rec = CurrentQueryOfTxn(blocked);
   if (blocked_rec == nullptr) return;
@@ -1119,10 +1039,9 @@ void MonitorEngine::FireEvent(EventKind kind, const std::string& qualifier,
   if (!has_rules_[static_cast<size_t>(kind)].load(std::memory_order_acquire)) {
     return;
   }
-  // RCU load of the compiled dispatch table: the hot path takes no mutex at
-  // all (the registry mutex guards only writers, who republish the table).
-  const std::shared_ptr<const RuleTable> table =
-      rule_table_.load(std::memory_order_acquire);
+  // The hot path never takes the registry mutex (it guards only writers,
+  // who republish the table).
+  const std::shared_ptr<const RuleTable> table = LoadRuleTable();
   const auto& rules = table->by_event[static_cast<size_t>(kind)];
   // Deferral needs a keepalive carrying the bound record's ownership; only
   // terminal events (which always supply one) have deferrable rules.
@@ -1139,8 +1058,15 @@ void MonitorEngine::FireEvent(EventKind kind, const std::string& qualifier,
     return;
   }
   metrics_.events_processed.Inc();
-  const bool tracing = trace_.enabled();
-  uint32_t fired_here = 0;
+  if (options_.predicate_index && options_.learned_predicate_order &&
+      options_.predicate_reorder_interval > 0 &&
+      seq % options_.predicate_reorder_interval ==
+          options_.predicate_reorder_interval - 1) {
+    // Periodic, contention-free (try_lock) re-rank of both lanes' shared
+    // predicate walks from the stats gathered since the last republish;
+    // checked before deferral so deferred-only events count too.
+    MaybeReorderPredicates();
+  }
 
   // One clock read per event; rules reuse it (hot path, Figure 2).
   base_ctx->now_micros = db_->clock()->NowMicros();
@@ -1160,225 +1086,71 @@ void MonitorEngine::FireEvent(EventKind kind, const std::string& qualifier,
     if (rules.empty()) return;  // nothing left to evaluate inline
   }
 
-  // Causal span plane: open an event span. The first FireEvent on this
-  // thread roots a new trace (id = event seq + 1, sampling decided once per
-  // trace); nested/deferred dispatches attach under the inherited parent.
-  TraceFrame* frame = nullptr;
-  bool trace_root = false;
-  uint64_t event_span = 0;
-  uint64_t saved_parent = 0;
-  uint8_t event_depth = 0;
-  int64_t span_start = 0;
-  if (spans_.enabled()) {
-    frame = &CurrentTraceFrame();
-    if (!frame->active || frame->engine != this) {
-      frame->engine = this;
-      frame->active = true;
-      trace_root = true;
-      frame->trace_id = seq + 1;  // 0 means "no trace" in span payloads
-      frame->sampled = SampleTrace(seq);
-      frame->parent_span = 0;
-      frame->depth = 0;
-      frame->total_nanos = 0;
-      frame->spans.clear();
-      frame->overflowed = false;
-    }
-    event_span = NewSpanId();
-    saved_parent = frame->parent_span;
-    event_depth = frame->depth;
-    frame->parent_span = event_span;
-    if (frame->depth < 255) ++frame->depth;
-    span_start = SteadyNanos();
-    frame->chain_ns = span_start;
-  } else {
+  const EventScope scope = OpenEvent(seq, SampleTrace(seq), 0);
+  const uint32_t fired =
+      DispatchRules(rules, table->sync_index[static_cast<size_t>(kind)],
+                    qualifier, base_ctx, scope.profiled, nullptr);
+  CloseEvent(scope, kind, qualifier, fired, base_ctx->now_micros);
+}
+
+MonitorEngine::EventScope MonitorEngine::OpenEvent(uint64_t seq, bool sampled,
+                                                   int64_t start_nanos) {
+  EventScope scope;
+  TraceFrame& frame = CurrentTraceFrame();
+  if (!spans_.enabled()) {
     // Spans were disabled mid-trace (operator or governor): drop the stale
     // frame so the next enablement starts a fresh trace.
-    TraceFrame& stale = CurrentTraceFrame();
-    if (stale.active && stale.engine == this) {
-      stale.active = false;
-      stale.spans.clear();
+    if (frame.active && frame.engine == this) {
+      frame.active = false;
+      frame.spans.clear();
     }
+    ++RuleDepth();
+    return scope;
   }
-  TraceFrame* profiled = (frame != nullptr && frame->sampled) ? frame : nullptr;
-
-  // Shared-conjunct walk state: one memo per event, fanned out to every
-  // indexed rule below (docs/PERFORMANCE.md §"Predicate index").
-  const PredicateIndex* index =
-      options_.predicate_index &&
-              table->sync_index[static_cast<size_t>(kind)].any_indexed
-          ? &table->sync_index[static_cast<size_t>(kind)]
-          : nullptr;
-  PredicateMemo* memo = nullptr;
-  if (index != nullptr) {
-    memo = &ThreadPredicateMemo();
-    memo->BeginEvent(index->preds.size());
+  // The first event on this thread roots a new trace (id = event seq + 1,
+  // sampling decided once per trace); nested/cascaded dispatches attach
+  // under the inherited parent.
+  if (!frame.active || frame.engine != this) {
+    frame.engine = this;
+    frame.active = true;
+    scope.trace_root = true;
+    frame.trace_id = seq + 1;  // 0 means "no trace" in span payloads
+    frame.sampled = sampled;
+    frame.parent_span = 0;
+    frame.depth = 0;
+    frame.total_nanos = 0;
+    frame.spans.clear();
+    frame.overflowed = false;
   }
-
+  scope.frame = &frame;
+  scope.profiled = frame.sampled ? &frame : nullptr;
+  scope.span_id = NewSpanId();
+  scope.saved_parent = frame.parent_span;
+  scope.depth = frame.depth;
+  frame.parent_span = scope.span_id;
+  if (frame.depth < 255) ++frame.depth;
+  scope.start_nanos = start_nanos != 0 ? start_nanos : SteadyNanos();
+  frame.chain_ns = scope.start_nanos;
   ++RuleDepth();
-  for (size_t rule_pos = 0; rule_pos < rules.size(); ++rule_pos) {
-    const auto& rule = rules[rule_pos];
-    const IndexedRule* entry =
-        index != nullptr ? &index->entries[rule_pos] : nullptr;
-    if (!rule->event.qualifier.empty() && rule->event.qualifier != qualifier) {
-      continue;
-    }
-    if (rule->iterate_classes.empty()) {
-      // No unbound classes: evaluate directly against the shared context
-      // (RunRule resets the per-evaluation LAT-row cache itself).
-      if (RunRule(*rule, base_ctx, profiled, nullptr, index, entry, memo)) {
-        ++fired_here;
-        if (memo != nullptr && entry->mutates_lats &&
-            rule_pos + 1 < rules.size()) {
-          // The fired rule's actions changed LAT state mid-event: memoized
-          // LAT-reading conjuncts and the shared row cache no longer match
-          // what naive per-rule evaluation would see for the rules still to
-          // come (after the last rule the memo is dead — skip).
-          memo->InvalidateLatReaders(*index);
-          base_ctx->lat_rows.clear();
-          metrics_.predindex_invalidations.Inc();
-        }
-      }
-      continue;
-    }
+  return scope;
+}
 
-    // Unbound-class iteration (paper §5.2): bind every combination of live
-    // objects of the classes the event did not bind. Blocker/Blocked are
-    // iterated as pairs from the lock-resource graph (§6.1). Buffers come
-    // from a per-(thread, depth) scratch pool so this path stops
-    // allocating once capacities warm up.
-    IterationScratch& scratch =
-        IterationScratchAt(static_cast<size_t>(RuleDepth()) - 1);
-    scratch.Clear();
-    auto& query_keepalive = scratch.query_keepalive;
-    auto& txn_keepalive = scratch.txn_keepalive;
-    auto& timer_objects = scratch.timer_objects;
-    auto& pair_objects = scratch.pair_objects;
-    auto& lists = scratch.lists;
-
-    bool want_blocker = false, want_blocked = false;
-    for (MonitoredClass cls : rule->iterate_classes) {
-      if (cls == MonitoredClass::kBlocker) want_blocker = true;
-      if (cls == MonitoredClass::kBlocked) want_blocked = true;
-    }
-    if (want_blocker || want_blocked) {
-      // Waits are measured against the event's already-read timestamp (one
-      // clock read per event, Figure 2).
-      const int64_t now = base_ctx->now_micros;
-      for (const txn::BlockedPair& pair :
-           db_->txn_manager()->lock_manager()->SnapshotBlockedPairs()) {
-        auto blocked_rec = CurrentQueryOfTxn(pair.blocked_txn);
-        auto blocker_rec = CurrentQueryOfTxn(pair.blocker_txn);
-        if (blocked_rec == nullptr || blocker_rec == nullptr) continue;
-        const double wait_secs =
-            static_cast<double>(now - pair.waiting_since_micros) / 1e6;
-        query_keepalive.push_back(blocked_rec);
-        query_keepalive.push_back(blocker_rec);
-        pair_objects.emplace_back(
-            BlockEventView{blocker_rec.get(), wait_secs,
-                           pair.resource.ToString()},
-            BlockEventView{blocked_rec.get(), wait_secs,
-                           pair.resource.ToString()});
-      }
-      std::vector<BindingItem> items;
-      for (const auto& [blocker_view, blocked_view] : pair_objects) {
-        BindingItem item;
-        if (want_blocker) {
-          item.emplace_back(MonitoredClass::kBlocker, &blocker_view);
-        }
-        if (want_blocked) {
-          item.emplace_back(MonitoredClass::kBlocked, &blocked_view);
-        }
-        items.push_back(std::move(item));
-      }
-      lists.push_back(std::move(items));
-    }
-    for (MonitoredClass cls : rule->iterate_classes) {
-      switch (cls) {
-        case MonitoredClass::kQuery: {
-          std::vector<BindingItem> items;
-          {
-            std::lock_guard<std::mutex> lock(objects_mutex_);
-            for (const auto& [_, rec] : active_queries_) {
-              query_keepalive.push_back(rec);
-              items.push_back({{MonitoredClass::kQuery, rec.get()}});
-            }
-          }
-          lists.push_back(std::move(items));
-          break;
-        }
-        case MonitoredClass::kTransaction: {
-          std::vector<BindingItem> items;
-          {
-            std::lock_guard<std::mutex> lock(objects_mutex_);
-            for (const auto& [_, rec] : active_txns_) {
-              txn_keepalive.push_back(rec);
-              items.push_back({{MonitoredClass::kTransaction, rec.get()}});
-            }
-          }
-          lists.push_back(std::move(items));
-          break;
-        }
-        case MonitoredClass::kTimer: {
-          timer_objects = timers_.Snapshot(db_->clock()->NowMicros());
-          std::vector<BindingItem> items;
-          for (const TimerRecord& timer : timer_objects) {
-            items.push_back({{MonitoredClass::kTimer, &timer}});
-          }
-          lists.push_back(std::move(items));
-          break;
-        }
-        default:
-          break;  // Blocker/Blocked already handled as pairs
-      }
-    }
-
-    // Cross product over the lists.
-    auto& idx = scratch.idx;
-    idx.assign(lists.size(), 0);
-    const bool any_empty =
-        std::any_of(lists.begin(), lists.end(),
-                    [](const auto& l) { return l.empty(); });
-    const size_t fired_before = fired_here;
-    if (!any_empty) {
-      for (;;) {
-        EvalContext ctx = *base_ctx;
-        for (size_t l = 0; l < lists.size(); ++l) {
-          for (const auto& [cls, ptr] : lists[l][idx[l]]) {
-            ctx.Bind(cls, ptr);
-          }
-        }
-        if (RunRule(*rule, &ctx, profiled)) ++fired_here;
-        size_t l = 0;
-        for (; l < lists.size(); ++l) {
-          if (++idx[l] < lists[l].size()) break;
-          idx[l] = 0;
-        }
-        if (l == lists.size()) break;
-      }
-    }
-    // Release record ownership promptly (capacity is retained).
-    scratch.Clear();
-    if (memo != nullptr && fired_here != fired_before &&
-        entry->mutates_lats && rule_pos + 1 < rules.size()) {
-      // Iterating rules bypass the index, but their fired actions can still
-      // mutate LATs that later indexed rules read.
-      memo->InvalidateLatReaders(*index);
-      base_ctx->lat_rows.clear();
-      metrics_.predindex_invalidations.Inc();
-    }
-  }
+void MonitorEngine::CloseEvent(const EventScope& scope, EventKind kind,
+                               std::string_view qualifier, uint32_t fired,
+                               int64_t now_micros) {
+  TraceFrame* frame = scope.frame;
   if (frame != nullptr) {
     const int64_t end = SteadyNanos();
     obs::Span span;
     span.trace_id = frame->trace_id;
-    span.span_id = event_span;
-    span.parent_id = saved_parent;
+    span.span_id = scope.span_id;
+    span.parent_id = scope.saved_parent;
     span.ref = common::Fnv1a64(qualifier);
-    span.start_nanos = span_start;
-    span.duration_nanos = end - span_start;
+    span.start_nanos = scope.start_nanos;
+    span.duration_nanos = end - scope.start_nanos;
     span.kind = obs::SpanKind::kEvent;
     span.detail = static_cast<uint8_t>(kind);
-    span.depth = event_depth;
+    span.depth = scope.depth;
     EmitSpan(frame, span);
     frame->total_nanos += span.duration_nanos;
     if (frame->sampled) {
@@ -1386,26 +1158,21 @@ void MonitorEngine::FireEvent(EventKind kind, const std::string& qualifier,
       metrics_.profile_dispatch_nanos.Inc(
           static_cast<uint64_t>(span.duration_nanos));
     }
-    frame->parent_span = saved_parent;
-    frame->depth = event_depth;
+    frame->parent_span = scope.saved_parent;
+    frame->depth = scope.depth;
   }
-  if (tracing) {
+  if (trace_.enabled()) {
     // The clock read here is trace-gated; the untraced path stays at one
-    // read per event.
-    trace_.Record(static_cast<uint8_t>(kind), qualifier, fired_here,
-                  base_ctx->now_micros,
-                  db_->clock()->NowMicros() - base_ctx->now_micros);
+    // read per event. Measured from the event's own clock read, so a
+    // deferred event's duration includes its queue wait: the trace ring
+    // answers "when did this event's effects land".
+    trace_.Record(static_cast<uint8_t>(kind), qualifier, fired, now_micros,
+                  db_->clock()->NowMicros() - now_micros);
   }
+  // Deferred rules buffer their LAT inserts, so their evictions normally
+  // pend only at flush time (RuleDepth 0 -> immediate dispatch).
   if (--RuleDepth() == 0) DrainPendingEvictions(frame);
-  if (options_.predicate_index && options_.learned_predicate_order &&
-      options_.predicate_reorder_interval > 0 &&
-      seq % options_.predicate_reorder_interval ==
-          options_.predicate_reorder_interval - 1) {
-    // Periodic, contention-free (try_lock) re-rank of the shared predicate
-    // walk from the stats gathered since the last republish.
-    MaybeReorderPredicates();
-  }
-  if (trace_root) {
+  if (scope.trace_root) {
     // Root finalization: the whole cascade (including deferred events) has
     // dispatched; offer the assembled trace as a slow-event exemplar.
     slow_traces_.Offer(frame->trace_id, frame->total_nanos, frame->spans);
@@ -1413,6 +1180,169 @@ void MonitorEngine::FireEvent(EventKind kind, const std::string& qualifier,
     frame->active = false;
     frame->spans.clear();
   }
+}
+
+uint32_t MonitorEngine::DispatchRules(
+    const RuleList& rules, const PredicateIndex& lane_index,
+    std::string_view qualifier, EvalContext* ctx, TraceFrame* profiled,
+    std::vector<DeferredLatInsert>* lat_sink) {
+  // Shared-conjunct walk state: one memo per event, fanned out to every
+  // indexed rule below (docs/PERFORMANCE.md §"Predicate index").
+  const PredicateIndex* index = lane_index.any_indexed ? &lane_index : nullptr;
+  PredicateMemo* memo = nullptr;
+  if (index != nullptr) {
+    memo = &ThreadPredicateMemo();
+    memo->BeginEvent(index->preds.size());
+  }
+  uint32_t fired = 0;
+  for (size_t rule_pos = 0; rule_pos < rules.size(); ++rule_pos) {
+    const CompiledRule& rule = *rules[rule_pos];
+    if (!rule.event.qualifier.empty() && rule.event.qualifier != qualifier) {
+      continue;
+    }
+    const IndexedRule* entry =
+        index != nullptr ? &index->entries[rule_pos] : nullptr;
+    // Without unbound classes the rule evaluates against the shared context
+    // (RunRule resets the per-evaluation LAT-row cache itself).
+    const uint32_t rule_fired =
+        rule.iterate_classes.empty()
+            ? (RunRule(rule, ctx, profiled, lat_sink, index, entry, memo) ? 1
+                                                                          : 0)
+            : RunIterating(rule, *ctx, profiled);
+    fired += rule_fired;
+    if (rule_fired > 0 && memo != nullptr && entry->mutates_lats &&
+        rule_pos + 1 < rules.size()) {
+      // The fired rule's actions changed LAT state mid-event: memoized
+      // LAT-reading conjuncts and the shared row cache no longer match what
+      // naive per-rule evaluation would see for the rules still to come
+      // (after the last rule the memo is dead — skip). Iterating rules
+      // bypass the index but can still mutate LATs later rules read.
+      memo->InvalidateLatReaders(*index);
+      ctx->lat_rows.clear();
+      metrics_.predindex_invalidations.Inc();
+    }
+  }
+  return fired;
+}
+
+uint32_t MonitorEngine::RunIterating(const CompiledRule& rule,
+                                     const EvalContext& base_ctx,
+                                     TraceFrame* profiled) {
+  // Blocker/Blocked are iterated as pairs from the lock-resource graph
+  // (§6.1). Buffers come from a per-(thread, depth) scratch pool so this
+  // path stops allocating once capacities warm up.
+  IterationScratch& scratch =
+      IterationScratchAt(static_cast<size_t>(RuleDepth()) - 1);
+  scratch.Clear();
+  auto& query_keepalive = scratch.query_keepalive;
+  auto& txn_keepalive = scratch.txn_keepalive;
+  auto& timer_objects = scratch.timer_objects;
+  auto& pair_objects = scratch.pair_objects;
+  auto& lists = scratch.lists;
+
+  bool want_blocker = false, want_blocked = false;
+  for (MonitoredClass cls : rule.iterate_classes) {
+    if (cls == MonitoredClass::kBlocker) want_blocker = true;
+    if (cls == MonitoredClass::kBlocked) want_blocked = true;
+  }
+  if (want_blocker || want_blocked) {
+    // Waits are measured against the event's already-read timestamp (one
+    // clock read per event, Figure 2).
+    const int64_t now = base_ctx.now_micros;
+    for (const txn::BlockedPair& pair :
+         db_->txn_manager()->lock_manager()->SnapshotBlockedPairs()) {
+      auto blocked_rec = CurrentQueryOfTxn(pair.blocked_txn);
+      auto blocker_rec = CurrentQueryOfTxn(pair.blocker_txn);
+      if (blocked_rec == nullptr || blocker_rec == nullptr) continue;
+      const double wait_secs =
+          static_cast<double>(now - pair.waiting_since_micros) / 1e6;
+      query_keepalive.push_back(blocked_rec);
+      query_keepalive.push_back(blocker_rec);
+      pair_objects.emplace_back(
+          BlockEventView{blocker_rec.get(), wait_secs,
+                         pair.resource.ToString()},
+          BlockEventView{blocked_rec.get(), wait_secs,
+                         pair.resource.ToString()});
+    }
+    std::vector<BindingItem> items;
+    for (const auto& [blocker_view, blocked_view] : pair_objects) {
+      BindingItem item;
+      if (want_blocker) {
+        item.emplace_back(MonitoredClass::kBlocker, &blocker_view);
+      }
+      if (want_blocked) {
+        item.emplace_back(MonitoredClass::kBlocked, &blocked_view);
+      }
+      items.push_back(std::move(item));
+    }
+    lists.push_back(std::move(items));
+  }
+  for (MonitoredClass cls : rule.iterate_classes) {
+    switch (cls) {
+      case MonitoredClass::kQuery: {
+        std::vector<BindingItem> items;
+        {
+          std::lock_guard<std::mutex> lock(objects_mutex_);
+          for (const auto& [_, rec] : active_queries_) {
+            query_keepalive.push_back(rec);
+            items.push_back({{MonitoredClass::kQuery, rec.get()}});
+          }
+        }
+        lists.push_back(std::move(items));
+        break;
+      }
+      case MonitoredClass::kTransaction: {
+        std::vector<BindingItem> items;
+        {
+          std::lock_guard<std::mutex> lock(objects_mutex_);
+          for (const auto& [_, rec] : active_txns_) {
+            txn_keepalive.push_back(rec);
+            items.push_back({{MonitoredClass::kTransaction, rec.get()}});
+          }
+        }
+        lists.push_back(std::move(items));
+        break;
+      }
+      case MonitoredClass::kTimer: {
+        timer_objects = timers_.Snapshot(db_->clock()->NowMicros());
+        std::vector<BindingItem> items;
+        for (const TimerRecord& timer : timer_objects) {
+          items.push_back({{MonitoredClass::kTimer, &timer}});
+        }
+        lists.push_back(std::move(items));
+        break;
+      }
+      default:
+        break;  // Blocker/Blocked already handled as pairs
+    }
+  }
+
+  // Cross product over the lists.
+  uint32_t fired = 0;
+  auto& idx = scratch.idx;
+  idx.assign(lists.size(), 0);
+  const bool any_empty = std::any_of(lists.begin(), lists.end(),
+                                     [](const auto& l) { return l.empty(); });
+  if (!any_empty) {
+    for (;;) {
+      EvalContext ctx = base_ctx;
+      for (size_t l = 0; l < lists.size(); ++l) {
+        for (const auto& [cls, ptr] : lists[l][idx[l]]) {
+          ctx.Bind(cls, ptr);
+        }
+      }
+      if (RunRule(rule, &ctx, profiled)) ++fired;
+      size_t l = 0;
+      for (; l < lists.size(); ++l) {
+        if (++idx[l] < lists[l].size()) break;
+        idx[l] = 0;
+      }
+      if (l == lists.size()) break;
+    }
+  }
+  // Release record ownership promptly (capacity is retained).
+  scratch.Clear();
+  return fired;
 }
 
 // ---------------------------------------------------------------------------
@@ -1503,32 +1433,24 @@ void MonitorEngine::DrainEventQueue() {
 }
 
 void MonitorEngine::ProcessDeferredBatch(DeferredEvent* events, size_t count) {
-  // One RCU table load per batch: rule-table dispatch cost is amortized
-  // across every event in the batch.
-  const std::shared_ptr<const RuleTable> table =
-      rule_table_.load(std::memory_order_acquire);
+  // One rule-table load per batch: dispatch cost is amortized across every
+  // event in the batch.
+  const std::shared_ptr<const RuleTable> table = LoadRuleTable();
   std::vector<DeferredLatInsert> sink;
   // Resolve the rule list and predicate index once per consecutive run of
   // same-kind events (batches are bursty, so runs are long). Events are NOT
   // re-sorted across kinds: commits and rollbacks feeding one LAT must keep
-  // arrival order or FIRST/LAST aggregates would change.
-  size_t i = 0;
-  while (i < count) {
+  // arrival order or FIRST/LAST aggregates would change. An empty list
+  // means the rules were removed/disabled since enqueue.
+  for (size_t i = 0; i < count;) {
     const size_t kind = static_cast<size_t>(events[i].kind);
-    const size_t run = KindRunLength(events, i, count);
-    const auto& rules = table->deferred_by_event[kind];
-    if (rules.empty()) {  // rules removed/disabled since enqueue
-      i += run;
-      continue;
+    const size_t end = i + KindRunLength(events, i, count);
+    const RuleList& rules = table->deferred_by_event[kind];
+    for (; i < end; ++i) {
+      if (rules.empty()) continue;
+      DispatchDeferredEvent(events[i], rules, table->deferred_index[kind],
+                            &sink);
     }
-    const PredicateIndex* index =
-        options_.predicate_index && table->deferred_index[kind].any_indexed
-            ? &table->deferred_index[kind]
-            : nullptr;
-    for (size_t j = i; j < i + run; ++j) {
-      DispatchDeferredEvent(events[j], rules, index, &sink);
-    }
-    i += run;
   }
   if (sink.empty()) return;
 
@@ -1564,9 +1486,8 @@ void MonitorEngine::ProcessDeferredBatch(DeferredEvent* events, size_t count) {
 }
 
 void MonitorEngine::DispatchDeferredEvent(
-    DeferredEvent& ev,
-    const std::vector<std::shared_ptr<const CompiledRule>>& rules,
-    const PredicateIndex* index, std::vector<DeferredLatInsert>* lat_sink) {
+    DeferredEvent& ev, const RuleList& rules, const PredicateIndex& index,
+    std::vector<DeferredLatInsert>* lat_sink) {
   EvalContext& ctx = ThreadEvalScratch();
   // Reuse the hook's clock read: deferred rules see the same event
   // timestamp sync evaluation would have.
@@ -1576,124 +1497,22 @@ void MonitorEngine::DispatchDeferredEvent(
 
   const int64_t drain_start = SteadyNanos();
   metrics_.queue_wait_micros.Record((drain_start - ev.enqueue_nanos) / 1000);
-
-  // Span handling mirrors FireEvent, plus a queue_wait child span carrying
-  // the enqueue->drain latency so sqlcm_profile attributes deferred work.
-  TraceFrame* frame = nullptr;
-  bool trace_root = false;
-  uint64_t event_span = 0;
-  uint64_t saved_parent = 0;
-  uint8_t event_depth = 0;
-  if (spans_.enabled()) {
-    frame = &CurrentTraceFrame();
-    if (!frame->active || frame->engine != this) {
-      frame->engine = this;
-      frame->active = true;
-      trace_root = true;
-      frame->trace_id = ev.seq + 1;
-      frame->sampled = ev.sampled;  // decided once, at the hook
-      frame->parent_span = 0;
-      frame->depth = 0;
-      frame->total_nanos = 0;
-      frame->spans.clear();
-      frame->overflowed = false;
-    }
-    event_span = NewSpanId();
-    saved_parent = frame->parent_span;
-    event_depth = frame->depth;
-    frame->parent_span = event_span;
-    if (frame->depth < 255) ++frame->depth;
-    frame->chain_ns = drain_start;
-
-    obs::Span wait;
-    wait.trace_id = frame->trace_id;
-    wait.span_id = NewSpanId();
-    wait.parent_id = event_span;
-    wait.ref = common::Fnv1a64("");
-    wait.start_nanos = ev.enqueue_nanos;
-    wait.duration_nanos = drain_start - ev.enqueue_nanos;
-    wait.kind = obs::SpanKind::kQueueWait;
-    wait.detail = static_cast<uint8_t>(ev.kind);
-    wait.depth = frame->depth;
-    EmitSpan(frame, wait);
+  const EventScope scope = OpenEvent(ev.seq, ev.sampled, drain_start);
+  if (TraceFrame* frame = scope.frame; frame != nullptr) {
+    // The queue_wait child span carries the enqueue->drain latency so
+    // sqlcm_profile attributes deferred work.
+    const int64_t wait = drain_start - ev.enqueue_nanos;
+    EmitChildSpan(frame, obs::SpanKind::kQueueWait, common::Fnv1a64(""),
+                  ev.enqueue_nanos, wait, static_cast<uint8_t>(ev.kind));
     if (frame->sampled) {
       metrics_.profile_queue_spans.Inc();
-      metrics_.profile_queue_nanos.Inc(
-          static_cast<uint64_t>(wait.duration_nanos));
-    }
-  } else {
-    TraceFrame& stale = CurrentTraceFrame();
-    if (stale.active && stale.engine == this) {
-      stale.active = false;
-      stale.spans.clear();
+      metrics_.profile_queue_nanos.Inc(static_cast<uint64_t>(wait));
     }
   }
-  TraceFrame* profiled = (frame != nullptr && frame->sampled) ? frame : nullptr;
-
-  uint32_t fired_here = 0;
-  PredicateMemo* memo = nullptr;
-  if (index != nullptr) {
-    memo = &ThreadPredicateMemo();
-    memo->BeginEvent(index->preds.size());
-  }
-  ++RuleDepth();
-  for (size_t rule_pos = 0; rule_pos < rules.size(); ++rule_pos) {
-    const auto& rule = rules[rule_pos];
-    const IndexedRule* entry =
-        index != nullptr ? &index->entries[rule_pos] : nullptr;
-    // Terminal events carry no qualifier; deferrable rules never iterate
-    // unbound classes (classification guarantees it).
-    if (!rule->event.qualifier.empty()) continue;
-    if (RunRule(*rule, &ctx, profiled, lat_sink, index, entry, memo)) {
-      ++fired_here;
-      if (memo != nullptr && entry->mutates_lats &&
-          rule_pos + 1 < rules.size()) {
-        // Deferred inserts buffer in lat_sink, so only RESET actions mutate
-        // LAT state mid-batch (mutates_lats reflects that for this lane).
-        memo->InvalidateLatReaders(*index);
-        ctx.lat_rows.clear();
-        metrics_.predindex_invalidations.Inc();
-      }
-    }
-  }
-  if (frame != nullptr) {
-    const int64_t end = SteadyNanos();
-    obs::Span span;
-    span.trace_id = frame->trace_id;
-    span.span_id = event_span;
-    span.parent_id = saved_parent;
-    span.ref = common::Fnv1a64("");
-    span.start_nanos = drain_start;
-    span.duration_nanos = end - drain_start;
-    span.kind = obs::SpanKind::kEvent;
-    span.detail = static_cast<uint8_t>(ev.kind);
-    span.depth = event_depth;
-    EmitSpan(frame, span);
-    frame->total_nanos += span.duration_nanos;
-    if (frame->sampled) {
-      metrics_.profile_events.Inc();
-      metrics_.profile_dispatch_nanos.Inc(
-          static_cast<uint64_t>(span.duration_nanos));
-    }
-    frame->parent_span = saved_parent;
-    frame->depth = event_depth;
-  }
-  if (trace_.enabled()) {
-    // Duration here is end-to-end (enqueue wait included) by design: the
-    // trace ring answers "when did this event's effects land".
-    trace_.Record(static_cast<uint8_t>(ev.kind), "", fired_here,
-                  ev.now_micros, db_->clock()->NowMicros() - ev.now_micros);
-  }
-  // Deferred rules buffer their LAT inserts, so evictions normally pend
-  // only at flush time (RuleDepth 0 -> immediate dispatch); drain any
-  // stragglers for parity with FireEvent.
-  if (--RuleDepth() == 0) DrainPendingEvictions(frame);
-  if (trace_root) {
-    slow_traces_.Offer(frame->trace_id, frame->total_nanos, frame->spans);
-    if (frame->overflowed) metrics_.profile_trace_overflows.Inc();
-    frame->active = false;
-    frame->spans.clear();
-  }
+  // Terminal events carry no qualifier.
+  const uint32_t fired =
+      DispatchRules(rules, index, "", &ctx, scope.profiled, lat_sink);
+  CloseEvent(scope, ev.kind, "", fired, ev.now_micros);
 }
 
 bool MonitorEngine::RunRule(const CompiledRule& rule, EvalContext* ctx,
@@ -1711,8 +1530,7 @@ bool MonitorEngine::RunRule(const CompiledRule& rule, EvalContext* ctx,
   bool cond_error = false;
   bool cond_pass = true;
   bool walked = false;
-  if (index != nullptr && entry != nullptr && entry->indexed &&
-      memo != nullptr) {
+  if (index != nullptr && entry->indexed) {
     // Shared-conjunct walk: each distinct predicate evaluates once per
     // event, memoized for every subscribed rule. Authoring order is kept
     // exact unless learned ordering is on (then a NULL conjunct may
@@ -1734,11 +1552,7 @@ bool MonitorEngine::RunRule(const CompiledRule& rule, EvalContext* ctx,
       cond_pass = verdict == IndexVerdict::kFire;
     }
   }
-  if (walked) {
-    // Condition fully decided by the shared walk above.
-  } else if (rule.use_fast_condition) {
-    cond_pass = EvalFastAtoms(rule.fast_atoms, *ctx);
-  } else if (rule.condition != nullptr) {
+  if (!walked && rule.condition != nullptr) {
     ctx->lat_rows.clear();
     ctx->lat_row_missing = false;
     auto pass = rule.condition->EvalCondition(ctx);
@@ -1757,16 +1571,8 @@ bool MonitorEngine::RunRule(const CompiledRule& rule, EvalContext* ctx,
     // ended, so nothing in the dispatch loop escapes attribution).
     const int64_t now = SteadyNanos();
     const int64_t dur = now - frame->chain_ns;
-    obs::Span span;
-    span.trace_id = frame->trace_id;
-    span.span_id = NewSpanId();
-    span.parent_id = frame->parent_span;
-    span.ref = rule.id;
-    span.start_nanos = frame->chain_ns;
-    span.duration_nanos = dur;
-    span.kind = obs::SpanKind::kCondition;
-    span.depth = frame->depth;
-    EmitSpan(frame, span);
+    EmitChildSpan(frame, obs::SpanKind::kCondition, rule.id, frame->chain_ns,
+                  dur);
     rule.stats.profiled_evals.Inc();
     rule.stats.condition_nanos.Inc(static_cast<uint64_t>(dur));
     frame->chain_ns = now;
@@ -1812,24 +1618,15 @@ bool MonitorEngine::RunRule(const CompiledRule& rule, EvalContext* ctx,
     if (frame != nullptr) {
       const int64_t now = SteadyNanos();
       const int64_t dur = now - frame->chain_ns;
-      obs::Span span;
-      span.trace_id = frame->trace_id;
-      span.span_id = action_span;
-      span.parent_id = action_parent;
-      span.ref = rule.id;
-      span.start_nanos = frame->chain_ns;
-      span.duration_nanos = dur;
-      span.kind = obs::SpanKind::kAction;
-      span.detail = static_cast<uint8_t>(action.kind);
-      span.depth = frame->depth;
-      EmitSpan(frame, span);
+      frame->parent_span = action_parent;
+      EmitChildSpan(frame, obs::SpanKind::kAction, rule.id, frame->chain_ns,
+                    dur, static_cast<uint8_t>(action.kind), action_span);
       const auto k = static_cast<size_t>(action.kind);
       metrics_.action_kind_spans[k].Inc();
       metrics_.action_kind_nanos[k].Inc(static_cast<uint64_t>(dur));
       rule.stats.action_nanos.Inc(static_cast<uint64_t>(dur));
       actions_nanos += dur;
       frame->chain_ns = now;
-      frame->parent_span = action_parent;
     }
     if (!status.ok()) {
       rule.stats.errors.Inc();
@@ -1909,13 +1706,9 @@ Result<storage::Table*> MonitorEngine::EnsureTable(
     const std::vector<ValueKind>& kinds) {
   storage::Table* table = db_->catalog()->GetTable(table_name);
   if (table != nullptr) return table;
-  std::vector<catalog::Column> columns;
-  for (size_t i = 0; i < col_names.size(); ++i) {
-    columns.push_back({col_names[i], ColumnTypeForKind(kinds[i])});
-  }
   SQLCM_ASSIGN_OR_RETURN(
-      auto schema,
-      catalog::TableSchema::Create(table_name, std::move(columns), {}));
+      auto schema, catalog::TableSchema::Create(
+                       table_name, ColumnsFor(col_names, kinds), {}));
   auto created = db_->catalog()->CreateTable(std::move(schema));
   if (!created.ok()) {
     // Lost a creation race; the table exists now.
@@ -1960,16 +1753,8 @@ Status MonitorEngine::ExecuteAction(const CompiledAction& action,
         const int64_t start = SteadyNanos();
         action.lat->Insert(record, ctx->now_micros);
         const int64_t dur = SteadyNanos() - start;
-        obs::Span span;
-        span.trace_id = frame->trace_id;
-        span.span_id = NewSpanId();
-        span.parent_id = frame->parent_span;
-        span.ref = common::Fnv1a64(action.lat->lower_name());
-        span.start_nanos = start;
-        span.duration_nanos = dur;
-        span.kind = obs::SpanKind::kLatUpsert;
-        span.depth = frame->depth;
-        EmitSpan(frame, span);
+        EmitChildSpan(frame, obs::SpanKind::kLatUpsert,
+                      common::Fnv1a64(action.lat->lower_name()), start, dur);
         action.lat->stats().upsert_spans.Inc();
         action.lat->stats().upsert_nanos.Inc(static_cast<uint64_t>(dur));
         if (detailed_timing_.load(std::memory_order_relaxed)) {
@@ -2213,6 +1998,23 @@ bool MonitorEngine::SampleTrace(uint64_t seq) const {
   // patterns (plain `seq % N` would alias with periodic workloads).
   const uint64_t h = seq * 0x9E3779B97F4A7C15ull;
   return (h >> 44) < threshold;
+}
+
+void MonitorEngine::EmitChildSpan(TraceFrame* frame, obs::SpanKind kind,
+                                  uint64_t ref, int64_t start_nanos,
+                                  int64_t duration_nanos, uint8_t detail,
+                                  uint64_t span_id) {
+  obs::Span span;
+  span.trace_id = frame->trace_id;
+  span.span_id = span_id != 0 ? span_id : NewSpanId();
+  span.parent_id = frame->parent_span;
+  span.ref = ref;
+  span.start_nanos = start_nanos;
+  span.duration_nanos = duration_nanos;
+  span.kind = kind;
+  span.detail = detail;
+  span.depth = frame->depth;
+  EmitSpan(frame, span);
 }
 
 void MonitorEngine::EmitSpan(TraceFrame* frame, const obs::Span& span) {

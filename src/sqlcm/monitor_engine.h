@@ -6,12 +6,13 @@
 // owns the LATs, timers and action backends.
 //
 // Threading: hook methods run concurrently in session threads. The
-// dispatch hot path is lock-free: the compiled rule table is published
-// RCU-style through an atomic shared_ptr, so FireEvent never touches the
-// registry mutex — that mutex guards only the (cold) DBA surface, which
-// rebuilds and republishes the table on every change ("rules can be added
-// and removed dynamically", §3). LATs use their own fine-grained sharded
-// latches (see lat.h).
+// dispatch hot path never touches the registry mutex: the compiled rule
+// table is an immutable snapshot that writers replace copy-on-write, and
+// dispatch takes its own reference to the current snapshot under a
+// dedicated spin latch held only for that shared_ptr copy. The registry
+// mutex guards only the (cold) DBA surface, which rebuilds and republishes
+// the table on every change ("rules can be added and removed dynamically",
+// §3). LATs use their own fine-grained sharded latches (see lat.h).
 #ifndef SQLCM_SQLCM_MONITOR_ENGINE_H_
 #define SQLCM_SQLCM_MONITOR_ENGINE_H_
 
@@ -21,10 +22,12 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
+#include "common/latch.h"
 #include "engine/database.h"
 #include "engine/monitor_hooks.h"
 #include "obs/error_ring.h"
@@ -126,16 +129,17 @@ class MonitorEngine final : public engine::MonitorHooks,
     /// When on, conditions of rules sharing an event are decomposed into
     /// canonicalized conjuncts evaluated at most once per event, with
     /// memoized three-valued outcomes fanned out to every subscriber. Off =
-    /// exactly the historical per-rule evaluation path (differential-oracle
-    /// toggle).
+    /// every condition runs through the CmExpr interpreter, the reference
+    /// arm of the differential oracle.
     bool predicate_index = true;
     /// Online learned conjunct ordering on top of the index: per-predicate
     /// pass-rate/cost EWMAs + UCB1 exploration periodically re-sort each
     /// rule's walk so cheap, rejective conjuncts run first. Off = authoring
     /// order with bit-exact naive error accounting.
     bool learned_predicate_order = true;
-    /// Events between reorder passes (0 disables reordering; the pass
-    /// itself is a cheap RCU republish off the hot path).
+    /// Events between reorder passes, counted over events of both lanes
+    /// (0 disables reordering; the pass itself is a cheap copy-on-write
+    /// republish of the rule table).
     uint64_t predicate_reorder_interval = 4096;
   };
 
@@ -286,7 +290,7 @@ class MonitorEngine final : public engine::MonitorHooks,
     double mean_cost_ns = 0;
     int64_t rank = -1;
   };
-  /// Lock-free walk of the current RCU rule-table snapshot's indexes.
+  /// Walk of the current rule-table snapshot's indexes.
   std::vector<PredicateStatRow> SnapshotPredicateStats() const;
 
   // -- engine::MonitorHooks ----------------------------------------------------
@@ -327,7 +331,7 @@ class MonitorEngine final : public engine::MonitorHooks,
         deferred_by_event;
     /// Shared-conjunct indexes, positionally parallel to the rule vectors
     /// above; built only while Options::predicate_index is on. Part of the
-    /// same RCU snapshot so dispatch always sees rules and index agree.
+    /// same snapshot so dispatch always sees rules and index agree.
     std::array<PredicateIndex, kNumEventKinds> sync_index;
     std::array<PredicateIndex, kNumEventKinds> deferred_index;
   };
@@ -342,9 +346,35 @@ class MonitorEngine final : public engine::MonitorHooks,
     int64_t now_micros = 0;
   };
 
-  /// Snapshot of the rule list for one event kind (short registry lock).
-  std::vector<std::shared_ptr<const CompiledRule>> RulesFor(
-      EventKind kind) const;
+  using RuleList = std::vector<std::shared_ptr<const CompiledRule>>;
+
+  /// One event's dispatch scope, shared by both lanes: the thread's trace
+  /// frame and the event span that OpenEvent opened and CloseEvent closes.
+  struct EventScope {
+    TraceFrame* frame = nullptr;     // null while the span ring is off
+    TraceFrame* profiled = nullptr;  // `frame` when its trace is sampled
+    bool trace_root = false;
+    uint64_t span_id = 0;
+    uint64_t saved_parent = 0;
+    uint8_t depth = 0;
+    int64_t start_nanos = 0;
+  };
+
+  /// Per-hook preamble (defined in monitor_engine.cc): counts the call,
+  /// short-circuits while monitoring is inactive, times the hook otherwise.
+  class HookTimer;
+
+  /// The current rule-table snapshot (dedicated latch, one refcount bump).
+  std::shared_ptr<const RuleTable> LoadRuleTable() const {
+    std::lock_guard<common::SpinLatch> lock(rule_table_latch_);
+    return rule_table_;
+  }
+  /// Replaces the snapshot; the old one (now in `table`) is released after
+  /// the latch.
+  void PublishRuleTable(std::shared_ptr<const RuleTable> table) {
+    std::lock_guard<common::SpinLatch> lock(rule_table_latch_);
+    rule_table_.swap(table);
+  }
 
   void RebuildRuleTableLocked();
   /// True when an enabled rule in `table` listens on `<lat_key>.Evict`
@@ -352,8 +382,9 @@ class MonitorEngine final : public engine::MonitorHooks,
   static bool ListensOnEvict(const RuleTable& table,
                              const std::string& lat_key);
 
-  /// Dispatches all rules for (kind, qualifier) against `base_ctx`,
-  /// handling unbound-class iteration and deferred side-effect events.
+  /// Dispatches all rules for (kind, qualifier) against `base_ctx`: enqueues
+  /// the deferrable ones when the async pipeline is on and runs the rest
+  /// inline.
   /// `query_keepalive` / `txn_keepalive` carry the bound record's owning
   /// reference for terminal events so the async pipeline can enqueue the
   /// event for evaluation after the registries drop it.
@@ -368,17 +399,39 @@ class MonitorEngine final : public engine::MonitorHooks,
   void EnqueueDeferred(DeferredEvent&& ev);
   /// Worker thread body: batch-pop and process until shutdown + drained.
   void MonitorWorkerLoop();
-  /// Evaluates one drained batch against one RCU table load, buffering LAT
+  /// Evaluates one drained batch against one rule-table load, buffering LAT
   /// upserts, then flushes them vectorized (Lat::InsertBatch).
   void ProcessDeferredBatch(DeferredEvent* events, size_t count);
-  /// Evaluates one deferred event's rules (span handling mirrors FireEvent;
-  /// adds the queue_wait child span carrying enqueue->drain latency).
-  /// `index` is the lane's predicate index, or null when indexing is off.
-  void DispatchDeferredEvent(
-      DeferredEvent& ev,
-      const std::vector<std::shared_ptr<const CompiledRule>>& rules,
-      const PredicateIndex* index,
-      std::vector<DeferredLatInsert>* lat_sink);
+  /// Evaluates one deferred event's rules in their own event scope, plus
+  /// the queue_wait child span carrying enqueue->drain latency.
+  void DispatchDeferredEvent(DeferredEvent& ev, const RuleList& rules,
+                             const PredicateIndex& index,
+                             std::vector<DeferredLatInsert>* lat_sink);
+
+  /// Opens an event's scope on either lane: activates this thread's trace
+  /// frame (rooting trace seq + 1, sampled per `sampled`, unless a trace is
+  /// already open), opens the event span at `start_nanos` (0 = now) and
+  /// enters rule depth.
+  EventScope OpenEvent(uint64_t seq, bool sampled, int64_t start_nanos);
+  /// Closes the scope: event span + profile counters, the event-trace
+  /// record (timestamp `now_micros`, duration up to now), leaves rule depth
+  /// (draining pended evictions at depth 0) and finalizes a root trace.
+  void CloseEvent(const EventScope& scope, EventKind kind,
+                  std::string_view qualifier, uint32_t fired,
+                  int64_t now_micros);
+  /// The rule loop of both lanes (paper §5: fixed activation order): runs
+  /// every rule of `rules` whose qualifier matches, through `index` when it
+  /// has indexed entries, and drops memoized LAT readers after a rule that
+  /// fired and mutated LAT state. Returns how many rule evaluations fired.
+  uint32_t DispatchRules(const RuleList& rules, const PredicateIndex& index,
+                         std::string_view qualifier, EvalContext* ctx,
+                         TraceFrame* profiled,
+                         std::vector<DeferredLatInsert>* lat_sink);
+  /// Unbound-class iteration (paper §5.2): runs `rule` once per combination
+  /// of live objects of the classes the event did not bind. Sync lane only
+  /// (deferrable rules never iterate). Returns the number of firings.
+  uint32_t RunIterating(const CompiledRule& rule, const EvalContext& base_ctx,
+                        TraceFrame* profiled);
   /// Returns true when the rule fired (condition passed, actions ran).
   /// `frame` is non-null only when the current trace is sampled for
   /// profiling: condition/action child spans are emitted and self-time is
@@ -386,8 +439,8 @@ class MonitorEngine final : public engine::MonitorHooks,
   /// processing), Insert actions buffer into it instead of upserting
   /// immediately; the caller flushes via Lat::InsertBatch. When `index` /
   /// `entry` / `memo` are set and the entry is indexed, the condition is
-  /// answered by the memoized shared-conjunct walk (an error verdict falls
-  /// back to the naive evaluator below for exact accounting).
+  /// answered by the memoized shared-conjunct walk; otherwise (and to
+  /// replay an error verdict for exact accounting) by the interpreter.
   bool RunRule(const CompiledRule& rule, EvalContext* ctx, TraceFrame* frame,
                std::vector<DeferredLatInsert>* lat_sink = nullptr,
                const PredicateIndex* index = nullptr,
@@ -416,9 +469,10 @@ class MonitorEngine final : public engine::MonitorHooks,
   void RecordError(const common::Status& status);
 
   /// Learned-ordering reorder pass: re-sorts every index's conjunct walks
-  /// by the UCB1 score and republishes the rule table. Runs every
-  /// Options::predicate_reorder_interval events; skips (retries next
-  /// interval) when the registry mutex is contended.
+  /// (both lanes) by the UCB1 score and republishes the rule table. Runs
+  /// every Options::predicate_reorder_interval admitted events of either
+  /// lane; skips (retries next interval) when the registry mutex is
+  /// contended.
   void MaybeReorderPredicates();
 
   /// True when event `seq` gets child spans + profiling attribution.
@@ -430,6 +484,11 @@ class MonitorEngine final : public engine::MonitorHooks,
   /// Records `span` in the ring and buffers it in `frame` for the slow-trace
   /// exemplar table (bounded; overflow is counted, not fatal).
   void EmitSpan(TraceFrame* frame, const obs::Span& span);
+  /// EmitSpan for a child of frame->parent_span at frame->depth; a zero
+  /// `span_id` allocates a fresh one.
+  void EmitChildSpan(TraceFrame* frame, obs::SpanKind kind, uint64_t ref,
+                     int64_t start_nanos, int64_t duration_nanos,
+                     uint8_t detail = 0, uint64_t span_id = 0);
   void ExporterLoop();
 
   /// Feeds a failed evaluation into the rule's circuit breaker; records the
@@ -438,20 +497,15 @@ class MonitorEngine final : public engine::MonitorHooks,
   /// Propagates a governor shed-level transition into engine knobs
   /// (detailed timing, trace, per-LAT aging shed) and metrics.
   void ApplyShedLevel(int old_level, int new_level);
-  /// Builds the transient (non-catalog) staging table used by
-  /// v1 snapshots and RestoreLat's legacy path: LAT columns + trailing
-  /// persist_ts.
-  common::Result<std::unique_ptr<storage::Table>> MakeLatStagingTable(
-      const Lat& lat) const;
-  /// Builds the transient staging table for v2 raw-state snapshots:
-  /// Lat::StateColumnNames + trailing persist_ts.
-  common::Result<std::unique_ptr<storage::Table>> MakeLatStateStagingTable(
-      const Lat& lat) const;
 
   // Query/transaction registries.
   std::shared_ptr<QueryRecord> FindActiveQueryRecord(uint64_t query_id) const;
   std::shared_ptr<QueryRecord> CurrentQueryOfTxn(txn::TxnId txn_id) const;
   void FinishQuery(const engine::QueryInfo& info, EventKind terminal_event);
+  /// Unregisters the transaction (and its blocker bookkeeping), finalizes
+  /// its signatures and fires its terminal event.
+  void FinishTransaction(txn::TxnId txn_id, int64_t duration_micros,
+                         EventKind terminal_event);
 
   /// True when at least one rule exists (events are no-ops otherwise;
   /// paper §2.1: "no monitoring is performed unless it is required").
@@ -470,9 +524,14 @@ class MonitorEngine final : public engine::MonitorHooks,
   mutable std::mutex registry_mutex_;  // lats_, rules_ (writers of rule_table_)
   std::unordered_map<std::string, std::shared_ptr<Lat>> lats_;  // lower name
   std::vector<std::shared_ptr<CompiledRule>> rules_;            // fixed order
-  /// RCU-style publication of the compiled dispatch table: writers rebuild
-  /// under registry_mutex_ and store; FireEvent loads without any lock.
-  std::atomic<std::shared_ptr<const RuleTable>> rule_table_;
+  /// Copy-on-write publication of the compiled dispatch table: writers
+  /// rebuild under registry_mutex_ and publish; dispatch copies the pointer
+  /// under rule_table_latch_ (never the registry mutex). A plain latch
+  /// rather than std::atomic<std::shared_ptr>: libstdc++ 12 releases that
+  /// type's internal lock with a relaxed store after a load, so a later
+  /// store is not ordered after the read (a data race under TSan).
+  mutable common::SpinLatch rule_table_latch_;
+  std::shared_ptr<const RuleTable> rule_table_;
   /// Learned predicate state keyed by canonical hash; consulted at every
   /// index build (under registry_mutex_) so selectivity/cost EWMAs survive
   /// CREATE/DROP RULE swaps and reorders. Entries are never dropped — the

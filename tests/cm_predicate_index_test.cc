@@ -365,6 +365,11 @@ TEST(PredicateIndexDifferentialTest, DeferredLaneFiresIdentically) {
     outcomes.push_back(h.Outcomes());
     EXPECT_GT(h.monitor()->metrics().queue_enqueued.value(), 0u)
         << "config " << config;
+    if (config == 2) {
+      // Every rule here is deferred, so only the deferred lane's events
+      // can trigger the learned reorder.
+      EXPECT_GT(h.monitor()->metrics().predindex_reorders.value(), 0u);
+    }
   }
   EXPECT_EQ(outcomes[0], outcomes[1]);
   EXPECT_EQ(outcomes[0], outcomes[2]);

@@ -1,6 +1,10 @@
 #include "sqlcm/rule.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+
+#include "sqlcm/predicate_index.h"
 #include "common/random.h"
 #include "common/string_util.h"
 
@@ -196,8 +200,9 @@ TEST_F(RuleTest, PersistDefaultsToAllAttributes) {
 }
 
 TEST_F(RuleTest, FastConditionPathMatchesGenericPath) {
-  // Property: for eligible conditions, the flattened fast-atom evaluation
-  // must agree with the generic interpreter on every record.
+  // Property: for eligible conditions every top-level conjunct compiles to
+  // a FastAtom (the predicate index's per-conjunct fast path), and the AND
+  // of the atoms must agree with the generic interpreter on every record.
   const std::vector<std::string> conditions = {
       "Query.Duration > 2",
       "Query.Duration >= 2 AND Query.Query_Type = 'SELECT'",
@@ -213,7 +218,12 @@ TEST_F(RuleTest, FastConditionPathMatchesGenericPath) {
     spec.action = "Reset(Duration_LAT)";
     auto rule = RuleCompiler::Compile(spec, resolver_);
     ASSERT_TRUE(rule.ok()) << condition;
-    ASSERT_TRUE((*rule)->use_fast_condition) << condition;
+    std::vector<const CmExpr*> conjuncts;
+    CollectConjuncts((*rule)->condition.get(), &conjuncts);
+    std::vector<FastAtom> atoms(conjuncts.size());
+    for (size_t c = 0; c < conjuncts.size(); ++c) {
+      ASSERT_TRUE(TryCompileFastAtom(*conjuncts[c], &atoms[c])) << condition;
+    }
     for (int i = 0; i < 200; ++i) {
       QueryRecord rec;
       rec.id = static_cast<uint64_t>(rng.UniformInt(0, 10));
@@ -223,7 +233,10 @@ TEST_F(RuleTest, FastConditionPathMatchesGenericPath) {
       rec.query_type = rng.OneIn(2) ? "SELECT" : "UPDATE";
       EvalContext ctx;
       ctx.Bind(MonitoredClass::kQuery, &rec);
-      const bool fast = EvalFastAtoms((*rule)->fast_atoms, ctx);
+      const bool fast =
+          std::all_of(atoms.begin(), atoms.end(), [&ctx](const FastAtom& a) {
+            return EvalFastAtom(a, ctx);
+          });
       EvalContext ctx2;
       ctx2.Bind(MonitoredClass::kQuery, &rec);
       auto generic = (*rule)->condition->EvalCondition(&ctx2);
@@ -248,7 +261,8 @@ TEST_F(RuleTest, FastPathNotUsedForComplexConditions) {
     spec.action = "Reset(Duration_LAT)";
     auto rule = RuleCompiler::Compile(spec, resolver_);
     ASSERT_TRUE(rule.ok()) << condition;
-    EXPECT_FALSE((*rule)->use_fast_condition) << condition;
+    FastAtom atom;
+    EXPECT_FALSE(TryCompileFastAtom(*(*rule)->condition, &atom)) << condition;
   }
 }
 
