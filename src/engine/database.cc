@@ -107,23 +107,27 @@ void Database::UnregisterStatement(uint64_t query_id,
 
 Result<std::shared_ptr<CachedPlan>> Database::Compile(
     const std::string& sql_text, const sql::Statement& stmt) {
-  auto plan = std::make_shared<CachedPlan>();
-  plan->sql_text = sql_text;
+  return plan_cache_.GetOrCompile(
+      sql_text, [&]() -> Result<std::shared_ptr<CachedPlan>> {
+        auto plan = std::make_shared<CachedPlan>();
+        plan->sql_text = sql_text;
 
-  const int64_t compile_start = clock_->NowMicros();
-  exec::Planner planner(&catalog_);
-  SQLCM_ASSIGN_OR_RETURN(plan->logical, planner.Plan(stmt));
-  exec::Optimizer optimizer;
-  SQLCM_ASSIGN_OR_RETURN(plan->physical, optimizer.Optimize(*plan->logical));
-  plan->optimize_micros = clock_->NowMicros() - compile_start;
+        const int64_t compile_start = clock_->NowMicros();
+        exec::Planner planner(&catalog_);
+        SQLCM_ASSIGN_OR_RETURN(plan->logical, planner.Plan(stmt));
+        exec::Optimizer optimizer;
+        SQLCM_ASSIGN_OR_RETURN(plan->physical,
+                               optimizer.Optimize(*plan->logical));
+        plan->optimize_micros = clock_->NowMicros() - compile_start;
 
-  // The monitor computes signatures here, before the plan is published
-  // (paper §4.2: computed during optimization, cached with the plan).
-  if (hooks_ != nullptr) {
-    hooks_->OnStatementCompiled(plan.get());
-  }
-  plan_cache_.Put(plan);
-  return plan;
+        // The monitor computes signatures here, before the plan is
+        // published (paper §4.2: computed during optimization, cached with
+        // the plan).
+        if (hooks_ != nullptr) {
+          hooks_->OnStatementCompiled(plan.get());
+        }
+        return plan;
+      });
 }
 
 }  // namespace sqlcm::engine

@@ -83,6 +83,7 @@ class Database {
   /// Compiles a plannable statement (SELECT/INSERT/UPDATE/DELETE): plans,
   /// optimizes (timing the whole compilation into optimize_micros), lets
   /// the monitor compute signatures, and publishes to the plan cache.
+  /// Sessions compiling the same text at once share one compile.
   common::Result<std::shared_ptr<CachedPlan>> Compile(
       const std::string& sql_text, const sql::Statement& stmt);
 

@@ -10,12 +10,15 @@
 #define SQLCM_ENGINE_PLAN_CACHE_H_
 
 #include <atomic>
+#include <condition_variable>
+#include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
 
+#include "common/status.h"
 #include "exec/logical_plan.h"
 #include "exec/physical_plan.h"
 
@@ -43,20 +46,31 @@ struct CachedPlan {
   std::atomic<uint64_t> execution_count{0};
 };
 
-/// Thread-safe LRU cache keyed by exact SQL text.
+/// Thread-safe LRU cache keyed by exact SQL text, with single-flight
+/// compilation: one compile per text however many sessions miss at once.
 class PlanCache {
  public:
+  using Compiler =
+      std::function<common::Result<std::shared_ptr<CachedPlan>>()>;
+
   explicit PlanCache(size_t capacity) : capacity_(capacity) {}
   PlanCache(const PlanCache&) = delete;
   PlanCache& operator=(const PlanCache&) = delete;
 
-  /// nullptr on miss; refreshes LRU position on hit.
+  /// nullptr when not cached (not counted: a miss is counted only when
+  /// GetOrCompile compiles); refreshes LRU position on hit.
   std::shared_ptr<CachedPlan> Get(const std::string& sql_text);
 
-  /// Inserts (replacing any same-text entry) and evicts LRU overflow.
-  void Put(std::shared_ptr<CachedPlan> plan);
+  /// The cached plan for `sql_text`, else the result of `compile`, which
+  /// runs outside the cache mutex and is cached on success. A caller that
+  /// finds the same text's compile in flight waits for it and shares its
+  /// plan (a hit); when that compile fails or Clear() abandons it, the
+  /// waiter retries and compiles, or fails, on its own.
+  common::Result<std::shared_ptr<CachedPlan>> GetOrCompile(
+      const std::string& sql_text, const Compiler& compile);
 
-  /// Drops everything (called on DDL).
+  /// Drops everything (called on DDL). Compiles in flight are not cached
+  /// when they finish, and their waiters compile against the new schema.
   void Clear();
 
   size_t size() const;
@@ -76,6 +90,13 @@ class PlanCache {
     std::list<std::string>::iterator lru_it;
   };
   std::unordered_map<std::string, Slot> map_;
+  /// One compile in flight; `plan` is set if it succeeded before Clear().
+  struct Flight {
+    bool done = false;
+    std::shared_ptr<CachedPlan> plan;
+  };
+  std::unordered_map<std::string, std::shared_ptr<Flight>> in_flight_;
+  std::condition_variable flight_done_;
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> misses_{0};
   std::atomic<uint64_t> evictions_{0};

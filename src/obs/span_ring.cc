@@ -33,14 +33,16 @@ void SpanRing::Record(const Span& span) {
                 static_cast<uint64_t>(span.duration_nanos),
                 static_cast<uint64_t>(span.kind) |
                     (static_cast<uint64_t>(span.detail) << 8) |
-                    (static_cast<uint64_t>(span.depth) << 16)});
+                    (static_cast<uint64_t>(span.depth) << 16) |
+                    (static_cast<uint64_t>(span.fired) << 32),
+                static_cast<uint64_t>(span.ts_micros)});
 }
 
 std::vector<Span> SpanRing::Snapshot() const {
   std::vector<Span> out;
   out.reserve(ring_.readable());
   ring_.ForEachPublished(
-      [&out](uint64_t, const StampedRing<7>::Payload& words) {
+      [&out](uint64_t, const StampedRing<8>::Payload& words) {
         Span span;
         span.trace_id = words[0];
         span.span_id = words[1];
@@ -51,6 +53,8 @@ std::vector<Span> SpanRing::Snapshot() const {
         span.kind = static_cast<SpanKind>(words[6] & 0xff);
         span.detail = static_cast<uint8_t>((words[6] >> 8) & 0xff);
         span.depth = static_cast<uint8_t>((words[6] >> 16) & 0xff);
+        span.fired = static_cast<uint32_t>(words[6] >> 32);
+        span.ts_micros = static_cast<int64_t>(words[7]);
         out.push_back(span);
       });
   return out;

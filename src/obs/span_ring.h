@@ -9,9 +9,11 @@
 // strings are referenced by 64-bit FNV-1a hash (common::Fnv1a64) or rule id
 // — so producers never allocate.
 //
-// SpanRing stores each span as one record of the stamped-ring protocol it
-// shares with TraceRing (stamped_ring.h): lock-free, TSan-clean, and
-// Snapshot() counts any torn/mid-write slot it has to drop.
+// SpanRing stores each span as one record of the stamped-ring protocol
+// (stamped_ring.h): lock-free, TSan-clean, and Snapshot() counts any
+// torn/mid-write slot it has to drop. Event spans also carry the event's
+// timestamp and rules-fired count, so sqlcm_event_trace is a projection of
+// this ring's kEvent spans rather than a ring of its own.
 //
 // SlowTraceTable keeps the K most expensive traces *whole* (every span, not
 // just the root) as exemplars; the reject fast path is a single relaxed
@@ -53,6 +55,8 @@ struct Span {
   SpanKind kind = SpanKind::kEvent;
   uint8_t detail = 0;           // EventKind (kEvent) / ActionKind (kAction)
   uint8_t depth = 0;            // cascade depth of the enclosing event
+  uint32_t fired = 0;           // kEvent: rules whose actions ran
+  int64_t ts_micros = 0;        // kEvent: the event's own clock read
 };
 
 class SpanRing {
@@ -77,8 +81,8 @@ class SpanRing {
 
  private:
   // Words: trace, span, parent, ref, start, duration,
-  // kind | detail<<8 | depth<<16.
-  StampedRing<7> ring_;
+  // kind | detail<<8 | depth<<16 | fired<<32, ts_micros.
+  StampedRing<8> ring_;
   std::atomic<bool> enabled_{false};
 };
 

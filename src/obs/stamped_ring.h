@@ -1,5 +1,5 @@
-// Bounded multi-producer ring of fixed-size records, shared by the event
-// trace (trace_ring.h) and the span plane (span_ring.h).
+// Bounded multi-producer ring of fixed-size records, the storage of the span
+// plane (span_ring.h).
 //
 // Producers are session threads dispatching monitor events; they must never
 // block, so the ring is lock-free: a ticket counter assigns slots and each

@@ -9,7 +9,7 @@
 //
 //   level 0  full fidelity
 //   level 1  detailed per-action timing off (saves clock reads)
-//   level 2  event trace recording off
+//   level 2  span plane off (sqlcm_trace_spans and sqlcm_event_trace)
 //   level 3  LAT aging-block pruning deferred (expired blocks accumulate
 //            up to a cap, then merge; reads stay exact)
 //   level 4  rule evaluation sampled 1-in-2^sample_shift events

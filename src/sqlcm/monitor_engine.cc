@@ -80,6 +80,14 @@ constexpr size_t kMaxSpansPerTrace = 2048;
 /// Fixed-point scale for the span sampling threshold.
 constexpr uint32_t kSpanSampleScale = 1u << 20;
 
+/// Span-ring slots (events and their child spans share them).
+constexpr size_t kSpanCapacity = 4096;
+/// Traces sqlcm_slow_events retains whole as exemplars.
+constexpr size_t kSlowTraceK = 8;
+/// CheckpointLat retry policy for transient snapshot-write failures.
+constexpr int kPersistAttempts = 3;
+constexpr int64_t kPersistBackoffMicros = 1000;
+
 /// Per-thread stack of in-flight query records (statements nest through
 /// EXEC). Start and terminal hooks run on the same session thread, so this
 /// avoids the global registry when no rule needs cross-query visibility.
@@ -232,9 +240,8 @@ MonitorEngine::MonitorEngine(engine::Database* db, Options options)
       timers_(db->clock(),
               [this](const TimerRecord& timer) { HandleTimerAlarm(timer); }),
       rule_table_(std::make_shared<const RuleTable>()),
-      trace_(options.trace_capacity),
-      spans_(options.span_capacity),
-      slow_traces_(options.slow_trace_k),
+      spans_(kSpanCapacity),
+      slow_traces_(kSlowTraceK),
       governor_(options.governor) {
   detailed_timing_.store(options.detailed_timing, std::memory_order_relaxed);
   set_span_sampling(options.span_sample_rate);
@@ -403,9 +410,8 @@ Status MonitorEngine::CheckpointLat(std::string_view lat_name,
                                    ? storage::kSnapshotVersionV3
                                    : storage::kSnapshotVersionV2;
   Status status = storage::WriteTableCsvWithRetry(
-      *staging, file_path, options_.persist_attempts,
-      options_.persist_backoff_micros, db_->clock(), &retries,
-      snapshot_version);
+      *staging, file_path, kPersistAttempts, kPersistBackoffMicros,
+      db_->clock(), &retries, snapshot_version);
   if (spans_on) {
     const int64_t dur = SteadyNanos() - cp_start;
     obs::Span span;
@@ -1151,6 +1157,8 @@ void MonitorEngine::CloseEvent(const EventScope& scope, EventKind kind,
     span.kind = obs::SpanKind::kEvent;
     span.detail = static_cast<uint8_t>(kind);
     span.depth = scope.depth;
+    span.fired = fired;
+    span.ts_micros = now_micros;
     EmitSpan(frame, span);
     frame->total_nanos += span.duration_nanos;
     if (frame->sampled) {
@@ -1160,14 +1168,6 @@ void MonitorEngine::CloseEvent(const EventScope& scope, EventKind kind,
     }
     frame->parent_span = scope.saved_parent;
     frame->depth = scope.depth;
-  }
-  if (trace_.enabled()) {
-    // The clock read here is trace-gated; the untraced path stays at one
-    // read per event. Measured from the event's own clock read, so a
-    // deferred event's duration includes its queue wait: the trace ring
-    // answers "when did this event's effects land".
-    trace_.Record(static_cast<uint8_t>(kind), qualifier, fired, now_micros,
-                  db_->clock()->NowMicros() - now_micros);
   }
   // Deferred rules buffer their LAT inserts, so their evictions normally
   // pend only at flush time (RuleDepth 0 -> immediate dispatch).
@@ -1678,15 +1678,12 @@ void MonitorEngine::ApplyShedLevel(int old_level, int new_level) {
              old_level >= L::kLevelNoDetailedTiming) {
     set_detailed_timing(timing_before_shed_.load(std::memory_order_relaxed));
   }
-  // Event trace + span plane (level 2): both are diagnostics rings fed on
-  // the dispatch path, so they shed (and recover) together.
+  // Span plane, and with it the event trace (level 2): the diagnostics
+  // ring fed on the dispatch path.
   if (new_level >= L::kLevelNoTrace && old_level < L::kLevelNoTrace) {
-    trace_before_shed_.store(trace_.enabled(), std::memory_order_relaxed);
-    trace_.set_enabled(false);
     spans_before_shed_.store(spans_.enabled(), std::memory_order_relaxed);
     spans_.set_enabled(false);
   } else if (new_level < L::kLevelNoTrace && old_level >= L::kLevelNoTrace) {
-    trace_.set_enabled(trace_before_shed_.load(std::memory_order_relaxed));
     spans_.set_enabled(spans_before_shed_.load(std::memory_order_relaxed));
   }
   // LAT aging maintenance (level 3).

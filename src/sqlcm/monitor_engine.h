@@ -32,7 +32,6 @@
 #include "engine/monitor_hooks.h"
 #include "obs/error_ring.h"
 #include "obs/span_ring.h"
-#include "obs/trace_ring.h"
 #include "sqlcm/actions_io.h"
 #include "sqlcm/event_queue.h"
 #include "sqlcm/lat.h"
@@ -76,19 +75,12 @@ class MonitorEngine final : public engine::MonitorHooks,
     bool start_timer_thread = false;
     /// Register the sqlcm_* virtual system views in the database catalog.
     bool register_system_views = true;
-    /// Event-trace ring capacity (rounded up to a power of two).
-    size_t trace_capacity = 1024;
-    /// Span-ring capacity for the causal tracing plane (rounded up to a
-    /// power of two). The ring starts disabled, like the event trace.
-    size_t span_capacity = 4096;
     /// Fraction [0, 1] of events whose traces record child spans (rule
     /// conditions, actions, LAT upserts) and feed the sqlcm_profile
-    /// attribution. Root event spans are always recorded while the span
-    /// ring is enabled.
+    /// attribution. Event spans (and so sqlcm_event_trace) are always
+    /// recorded while the span ring is enabled; 0 keeps an event-only
+    /// census.
     double span_sample_rate = 1.0;
-    /// How many of the most expensive traces sqlcm_slow_events retains
-    /// whole (every span) as exemplars.
-    size_t slow_trace_k = 8;
     /// When non-empty and the interval is positive, a background thread
     /// dumps the metrics registry in Prometheus text exposition to this
     /// path (atomic tempfile+rename) every interval.
@@ -106,9 +98,6 @@ class MonitorEngine final : public engine::MonitorHooks,
     ActionRateLimiter::Options action_rate_limit;
     /// Overload-degradation configuration (docs/ROBUSTNESS.md ladder).
     LoadGovernor::Options governor;
-    /// CheckpointLat retry policy for transient snapshot-write failures.
-    int persist_attempts = 3;
-    int64_t persist_backoff_micros = 1000;
     /// Deferred-evaluation pipeline (docs/PERFORMANCE.md §Async pipeline).
     /// When on, rules classified deferrable at CREATE RULE time are
     /// evaluated by the monitor worker pool off the query thread; the hook
@@ -171,8 +160,8 @@ class MonitorEngine final : public engine::MonitorHooks,
   /// Crash-safe file checkpoint of a LAT: exports the raw aggregation
   /// state (moments + aging blocks) through a transient staging table into
   /// a checksummed atomic v2 snapshot (storage/table_io), retrying
-  /// transient write failures per Options::persist_attempts. Lossless:
-  /// RestoreLat reproduces every aggregate — including STDEV and
+  /// transient write failures (3 attempts, backoff doubling from 1 ms).
+  /// Lossless: RestoreLat reproduces every aggregate — including STDEV and
   /// mid-window aging variants — bit-exactly.
   common::Status CheckpointLat(std::string_view lat_name,
                                const std::string& file_path);
@@ -224,8 +213,6 @@ class MonitorEngine final : public engine::MonitorHooks,
   // -- Observability ----------------------------------------------------------
 
   const MonitorMetrics& metrics() const { return metrics_; }
-  obs::TraceRing* trace_ring() { return &trace_; }
-  const obs::TraceRing& trace_ring() const { return trace_; }
   obs::SpanRing* span_ring() { return &spans_; }
   const obs::SpanRing& span_ring() const { return spans_; }
   obs::SlowTraceTable* slow_traces() { return &slow_traces_; }
@@ -413,9 +400,10 @@ class MonitorEngine final : public engine::MonitorHooks,
   /// already open), opens the event span at `start_nanos` (0 = now) and
   /// enters rule depth.
   EventScope OpenEvent(uint64_t seq, bool sampled, int64_t start_nanos);
-  /// Closes the scope: event span + profile counters, the event-trace
-  /// record (timestamp `now_micros`, duration up to now), leaves rule depth
-  /// (draining pended evictions at depth 0) and finalizes a root trace.
+  /// Closes the scope: the event span (stamped with the event's clock read
+  /// `now_micros` and `fired`, so it doubles as the sqlcm_event_trace row)
+  /// + profile counters, leaves rule depth (draining pended evictions at
+  /// depth 0) and finalizes a root trace.
   void CloseEvent(const EventScope& scope, EventKind kind,
                   std::string_view qualifier, uint32_t fired,
                   int64_t now_micros);
@@ -495,7 +483,7 @@ class MonitorEngine final : public engine::MonitorHooks,
   /// quarantine when it trips.
   void NoteRuleFailure(const CompiledRule& rule, int64_t now_micros);
   /// Propagates a governor shed-level transition into engine knobs
-  /// (detailed timing, trace, per-LAT aging shed) and metrics.
+  /// (detailed timing, span plane, per-LAT aging shed) and metrics.
   void ApplyShedLevel(int old_level, int new_level);
 
   // Query/transaction registries.
@@ -571,13 +559,13 @@ class MonitorEngine final : public engine::MonitorHooks,
   // Observability state. metrics_ instruments are updated lock-free from
   // hook threads; errors_ has its own internal mutex (error path only).
   MonitorMetrics metrics_;
-  obs::TraceRing trace_;
   obs::ErrorRing errors_{16};
   std::atomic<bool> detailed_timing_{false};
 
-  // Causal tracing plane. The span ring and slow-trace table are written
-  // lock-free from hook threads; the sampling threshold is Options::
-  // span_sample_rate scaled to [0, kSpanSampleScale].
+  // Causal tracing plane, also the source of sqlcm_event_trace. The span
+  // ring and slow-trace table are written lock-free from hook threads; the
+  // sampling threshold is Options::span_sample_rate scaled to
+  // [0, kSpanSampleScale].
   obs::SpanRing spans_;
   obs::SlowTraceTable slow_traces_;
   std::atomic<uint32_t> span_sample_threshold_{0};
@@ -590,13 +578,12 @@ class MonitorEngine final : public engine::MonitorHooks,
   std::condition_variable exporter_cv_;
   bool exporter_stop_ = false;
 
-  // Graceful degradation (robustness layer). `timing_before_shed_` /
-  // `trace_before_shed_` remember user-configured state across a shed so
-  // recovery restores it.
+  // Graceful degradation (robustness layer). `timing_before_shed_` (and
+  // `spans_before_shed_` above) remember user-configured state across a
+  // shed so recovery restores it.
   LoadGovernor governor_;
   std::atomic<uint64_t> event_seq_{0};
   std::atomic<bool> timing_before_shed_{false};
-  std::atomic<bool> trace_before_shed_{false};
 
   // Deferred-evaluation pipeline: the bounded MPMC queue, its worker pool,
   // and the drain barrier (in-flight batch count + condvar) used by

@@ -259,14 +259,6 @@ void SystemViews::RefreshEngineStats(storage::Table* table) {
   add("monitor.detailed_timing", "gauge",
       monitor_->detailed_timing() ? 1.0 : 0.0, "");
 
-  const obs::TraceRing& trace = *monitor_->trace_ring();
-  add("trace.enabled", "gauge", trace.enabled() ? 1.0 : 0.0, "");
-  add("trace.capacity", "gauge", static_cast<double>(trace.capacity()), "");
-  add("trace.total_recorded", "counter",
-      static_cast<double>(trace.total_recorded()), "");
-  add("trace.snapshot_drops", "counter",
-      static_cast<double>(trace.snapshot_drops()), "");
-
   const obs::SpanRing& spans = *monitor_->span_ring();
   add("spans.enabled", "gauge", spans.enabled() ? 1.0 : 0.0, "");
   add("spans.capacity", "gauge", static_cast<double>(spans.capacity()), "");
@@ -411,37 +403,39 @@ void SystemViews::RefreshLatStats(storage::Table* table) {
   }
 }
 
-void SystemViews::RefreshEventTrace(storage::Table* table) {
-  table->Truncate();
-  for (const auto& ev : monitor_->trace_ring()->Snapshot()) {
-    Row row;
-    row.push_back(Value::Int(static_cast<int64_t>(ev.seq)));
-    row.push_back(Value::Int(ev.ts_micros));
-    row.push_back(
-        Value::String(EventKindName(static_cast<EventKind>(ev.kind))));
-    row.push_back(Value::String(ev.qualifier));
-    row.push_back(Value::String(HexU64(ev.qualifier_hash)));
-    row.push_back(Value::Int(static_cast<int64_t>(ev.rules_fired)));
-    row.push_back(Value::Int(ev.dispatch_micros));
-    (void)table->Insert(std::move(row));
-  }
-}
-
 namespace {
 
 /// Shared name/detail resolution for span rows: rule ids resolve through the
 /// rule snapshot, LAT name hashes through Fnv1a64 of the snapshot names.
+/// Event qualifiers are "", a lower-cased LAT name (`.Evict`) or a
+/// lower-cased timer name (`Timer.Alarm`), so they resolve the same way.
 struct SpanNameResolver {
   std::unordered_map<uint64_t, std::string> rules;
   std::unordered_map<uint64_t, std::string> lats;
+  std::unordered_map<uint64_t, std::string> qualifiers;
 
   explicit SpanNameResolver(MonitorEngine* monitor) {
     for (const auto& rule : monitor->SnapshotRules()) {
       rules.emplace(rule->id, rule->name);
     }
+    qualifiers.emplace(common::Fnv1a64(""), "");
     for (const auto& lat : monitor->SnapshotLats()) {
-      lats.emplace(common::Fnv1a64(lat->lower_name()), lat->name());
+      const uint64_t hash = common::Fnv1a64(lat->lower_name());
+      lats.emplace(hash, lat->name());
+      qualifiers.emplace(hash, lat->lower_name());
     }
+    for (const auto& timer : monitor->timer_manager()->Snapshot(0)) {
+      std::string name = common::ToLower(timer.name);
+      const uint64_t hash = common::Fnv1a64(name);
+      qualifiers.emplace(hash, std::move(name));
+    }
+  }
+
+  /// The qualifier an event span's `ref` hashes; `#<hex>` when the LAT or
+  /// timer is gone.
+  std::string Qualifier(uint64_t hash) const {
+    auto it = qualifiers.find(hash);
+    return it != qualifiers.end() ? it->second : "#" + HexU64(hash);
   }
 
   std::string Name(const obs::Span& span) const {
@@ -485,6 +479,24 @@ struct SpanNameResolver {
 };
 
 }  // namespace
+
+void SystemViews::RefreshEventTrace(storage::Table* table) {
+  table->Truncate();
+  const SpanNameResolver resolver(monitor_);
+  for (const auto& span : monitor_->span_ring()->Snapshot()) {
+    if (span.kind != obs::SpanKind::kEvent) continue;
+    Row row;
+    row.push_back(Value::Int(static_cast<int64_t>(span.span_id)));
+    row.push_back(Value::Int(span.ts_micros));
+    row.push_back(
+        Value::String(EventKindName(static_cast<EventKind>(span.detail))));
+    row.push_back(Value::String(resolver.Qualifier(span.ref)));
+    row.push_back(Value::String(HexU64(span.ref)));
+    row.push_back(Value::Int(static_cast<int64_t>(span.fired)));
+    row.push_back(Value::Int(span.duration_nanos / 1000));
+    (void)table->Insert(std::move(row));
+  }
+}
 
 void SystemViews::RefreshTraceSpans(storage::Table* table) {
   table->Truncate();

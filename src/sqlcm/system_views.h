@@ -10,7 +10,8 @@
 //                       status, error totals, and the recent-error ring
 //   sqlcm_rule_stats    per-rule evaluations / fires / errors / latency
 //   sqlcm_lat_stats     per-LAT rows, evictions, latch contention, latency
-//   sqlcm_event_trace   the recent-event ring (when tracing is enabled)
+//   sqlcm_event_trace   one row per recent dispatched event: the event
+//                       spans of the span ring (when it is enabled)
 //   sqlcm_trace_spans   the causal span ring: one row per span, with
 //                       trace/parent ids so rule cascades rebuild as trees
 //   sqlcm_slow_events   the top-K most expensive traces, retained whole

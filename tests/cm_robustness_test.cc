@@ -851,7 +851,7 @@ class GovernorIntegrationTest : public FaultFixture {
     feed.event = "Query.Commit";
     feed.action = "Query.Insert(AgedLat)";
     EXPECT_TRUE(monitor_.AddRule(feed).ok());
-    monitor_.trace_ring()->set_enabled(true);
+    monitor_.span_ring()->set_enabled(true);
   }
 
   void Exec(const std::string& sql) {
@@ -867,17 +867,17 @@ class GovernorIntegrationTest : public FaultFixture {
 
 TEST_F(GovernorIntegrationTest, ForceLevelShedsInOrderAndRecoveryRestores) {
   ASSERT_TRUE(monitor_.detailed_timing());
-  ASSERT_TRUE(monitor_.trace_ring()->enabled());
+  ASSERT_TRUE(monitor_.span_ring()->enabled());
   Lat* lat = monitor_.FindLat("AgedLat");
   ASSERT_NE(lat, nullptr);
   ASSERT_FALSE(lat->shed_aging());
 
   monitor_.governor()->ForceLevel(LoadGovernor::kLevelNoDetailedTiming);
   EXPECT_FALSE(monitor_.detailed_timing());
-  EXPECT_TRUE(monitor_.trace_ring()->enabled());  // next rung untouched
+  EXPECT_TRUE(monitor_.span_ring()->enabled());  // next rung untouched
 
   monitor_.governor()->ForceLevel(LoadGovernor::kLevelShedAging);
-  EXPECT_FALSE(monitor_.trace_ring()->enabled());
+  EXPECT_FALSE(monitor_.span_ring()->enabled());
   EXPECT_TRUE(lat->shed_aging());
   EXPECT_EQ(monitor_.metrics().governor_level.value(),
             static_cast<int64_t>(LoadGovernor::kLevelShedAging));
@@ -885,7 +885,7 @@ TEST_F(GovernorIntegrationTest, ForceLevelShedsInOrderAndRecoveryRestores) {
   // Recovery restores exactly the operator-configured state.
   monitor_.governor()->ForceLevel(LoadGovernor::kLevelFull);
   EXPECT_TRUE(monitor_.detailed_timing());
-  EXPECT_TRUE(monitor_.trace_ring()->enabled());
+  EXPECT_TRUE(monitor_.span_ring()->enabled());
   EXPECT_FALSE(lat->shed_aging());
   EXPECT_GT(monitor_.metrics().governor_drops.value(), 0u);
 }

@@ -9,10 +9,12 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
 
+#include "common/clock.h"
 #include "common/string_util.h"
 #include "engine/session.h"
 #include "sqlcm/monitor_engine.h"
@@ -99,9 +101,9 @@ TEST_F(SystemViewsTest, EngineStatsReturnsMetricInventory) {
 
 TEST_F(SystemViewsTest, EngineStatsFilteredByName) {
   const QueryResult result = Query(
-      "SELECT value FROM sqlcm_engine_stats WHERE name = 'trace.capacity'");
+      "SELECT value FROM sqlcm_engine_stats WHERE name = 'spans.capacity'");
   ASSERT_EQ(result.rows.size(), 1u);
-  EXPECT_DOUBLE_EQ(result.rows[0][0].double_value(), 1024.0);
+  EXPECT_DOUBLE_EQ(result.rows[0][0].double_value(), 4096.0);
 }
 
 TEST_F(SystemViewsTest, RuleStatsShowsLiveCounts) {
@@ -189,7 +191,7 @@ TEST_F(SystemViewsTest, EventTraceRecordsWhenEnabled) {
   Exec("SELECT val FROM items WHERE id = 1");
   EXPECT_TRUE(Query("SELECT * FROM sqlcm_event_trace").rows.empty());
 
-  monitor_.trace_ring()->set_enabled(true);
+  monitor_.span_ring()->set_enabled(true);
   for (int i = 0; i < 4; ++i) {
     Exec("SELECT val FROM items WHERE id = " + std::to_string(i));
   }
@@ -201,10 +203,10 @@ TEST_F(SystemViewsTest, EventTraceRecordsWhenEnabled) {
     EXPECT_EQ(row[1].int_value(), 1);
   }
 
-  monitor_.trace_ring()->set_enabled(false);
-  const size_t total = monitor_.trace_ring()->total_recorded();
+  monitor_.span_ring()->set_enabled(false);
+  const size_t total = monitor_.span_ring()->total_recorded();
   Exec("SELECT val FROM items WHERE id = 1");
-  EXPECT_EQ(monitor_.trace_ring()->total_recorded(), total);
+  EXPECT_EQ(monitor_.span_ring()->total_recorded(), total);
 }
 
 TEST_F(SystemViewsTest, ViewsAreReadOnly) {
@@ -504,7 +506,7 @@ TEST_F(SystemViewsTest, EventTraceExposesQualifierHash) {
   spill.action = "Evicted.Persist(EvictedH)";
   ASSERT_TRUE(monitor_.AddRule(spill).ok());
 
-  monitor_.trace_ring()->set_enabled(true);
+  monitor_.span_ring()->set_enabled(true);
   for (int i = 0; i < 4; ++i) {
     Exec("SELECT val FROM items WHERE id = " + std::to_string(i));
   }
@@ -545,8 +547,106 @@ TEST_F(SystemViewsTest, EngineStatsExposeSpanPlaneAndRingDrops) {
   EXPECT_GT(value_of("slow_traces.offers"), 0.0);
   EXPECT_GT(value_of("slow_traces.admits"), 0.0);
   EXPECT_GE(value_of("slow_traces.retained"), 1.0);
-  EXPECT_DOUBLE_EQ(value_of("trace.snapshot_drops"), 0.0);
   EXPECT_DOUBLE_EQ(value_of("errors.dropped"), 0.0);
+  // The event trace is a projection of the span ring: no trace.* rows.
+  EXPECT_TRUE(
+      Query("SELECT name FROM sqlcm_engine_stats WHERE name = 'trace.enabled'")
+          .rows.empty());
+}
+
+// sqlcm_event_trace projects the span ring's event spans: qualifiers come
+// back whole (resolved from their hash, not truncated), timer alarms name
+// their timer, and deferred events keep their own hook-time timestamp and
+// rules-fired count.
+TEST(EventTraceProjectionTest, ResolvesQualifiersAndStampsDeferredEvents) {
+  common::MockClock clock(1'000'000);
+  engine::Database::Options db_options;
+  db_options.clock = &clock;
+  engine::Database db(db_options);
+  MonitorEngine::Options options;
+  options.async_rule_eval = true;
+  MonitorEngine monitor(&db, options);
+  auto session = db.CreateSession();
+  auto exec = [&session](const std::string& sql) {
+    auto result = session->Execute(sql);
+    ASSERT_TRUE(result.ok()) << sql << " -> " << result.status();
+  };
+  exec("CREATE TABLE items (id INT, val FLOAT, PRIMARY KEY(id))");
+  for (int i = 0; i < 4; ++i) {
+    exec("INSERT INTO items VALUES (" + std::to_string(i) + ", 1.0)");
+  }
+
+  const std::string lat_name = "RecentQueriesEvictedPastTheTopRow";
+  ASSERT_GT(lat_name.size(), 24u);
+  LatSpec top;
+  top.name = lat_name;
+  top.group_by = {{"ID", ""}};
+  top.aggregates = {{LatAggFunc::kCount, "", "N", false}};
+  top.ordering = {{"N", true}};
+  top.max_rows = 1;
+  ASSERT_TRUE(monitor.DefineLat(std::move(top)).ok());
+  RuleSpec feed;  // deferrable: evaluated by the monitor worker
+  feed.name = "feed";
+  feed.event = "Query.Commit";
+  feed.action = "Query.Insert(" + lat_name + ")";
+  ASSERT_TRUE(monitor.AddRule(feed).ok());
+  RuleSpec spill;
+  spill.name = "spill";
+  spill.event = lat_name + ".Evict";
+  spill.action = "Evicted.Persist(Spilled)";
+  ASSERT_TRUE(monitor.AddRule(spill).ok());
+  const std::string timer_name = "NightlyCheckpointTimerForTopRows";
+  ASSERT_TRUE(monitor.CreateTimer(timer_name).ok());
+  RuleSpec alarm;
+  alarm.name = "alarm";
+  alarm.event = timer_name + ".Alarm";
+  alarm.action = lat_name + ".Persist(AlarmLog)";
+  ASSERT_TRUE(monitor.AddRule(alarm).ok());
+
+  monitor.span_ring()->set_enabled(true);
+  std::multiset<int64_t> hook_times;
+  for (int i = 0; i < 4; ++i) {
+    const int64_t now = 2'000'000 + 1000 * i;
+    clock.SetMicros(now);
+    hook_times.insert(now);
+    exec("SELECT val FROM items WHERE id = " + std::to_string(i));
+  }
+  monitor.DrainEventQueue();
+  ASSERT_TRUE(monitor.SetTimer(timer_name, 0.001, 1).ok());
+  clock.Advance(5000);
+  const int64_t alarm_time = clock.NowMicros();
+  ASSERT_EQ(monitor.timer_manager()->Poll(alarm_time), 1u);
+
+  const QueryResult result = [&session] {
+    auto r = session->Execute(
+        "SELECT event, qualifier, rules_fired, ts_micros "
+        "FROM sqlcm_event_trace");
+    EXPECT_TRUE(r.ok()) << r.status();
+    return r.ok() ? *r : QueryResult{};
+  }();
+  std::multiset<int64_t> commit_times;
+  int evicts = 0, alarms = 0;
+  for (const auto& row : result.rows) {
+    const std::string event = row[0].ToDisplayString();
+    const std::string qualifier = row[1].ToDisplayString();
+    EXPECT_EQ(row[2].int_value(), 1) << event;
+    if (event == "Query.Commit") {
+      EXPECT_EQ(qualifier, "");
+      commit_times.insert(row[3].int_value());
+    } else if (event == "Lat.Evict") {
+      EXPECT_EQ(qualifier, common::ToLower(lat_name));
+      ++evicts;
+    } else if (event == "Timer.Alarm") {
+      EXPECT_EQ(qualifier, common::ToLower(timer_name));
+      EXPECT_EQ(row[3].int_value(), alarm_time);
+      ++alarms;
+    } else {
+      ADD_FAILURE() << "unexpected event " << event;
+    }
+  }
+  EXPECT_EQ(commit_times, hook_times);
+  EXPECT_EQ(evicts, 3);
+  EXPECT_EQ(alarms, 1);
 }
 
 TEST_F(SystemViewsTest, ExportMetricsNowWritesPrometheusFile) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <thread>
 
 #include "common/random.h"
@@ -146,6 +148,83 @@ TEST(ConcurrencyTest, PlanCacheSharedAcrossSessions) {
   EXPECT_EQ(failures.load(), 0);
   // One plan compiled, thousands of hits.
   EXPECT_GE(db.plan_cache()->hits(), static_cast<uint64_t>(kThreads * 300 - 1));
+}
+
+/// A compile the test holds open until Release(); Started() waits until it
+/// is running, i.e. until its text is in flight in the cache.
+class HeldCompile {
+ public:
+  explicit HeldCompile(common::Result<std::shared_ptr<CachedPlan>> result)
+      : result_(std::move(result)) {}
+
+  common::Result<std::shared_ptr<CachedPlan>> operator()() {
+    started_.set_value();
+    release_.get_future().wait();
+    return result_;
+  }
+  void Started() { started_future_.wait(); }
+  void Release() { release_.set_value(); }
+
+ private:
+  common::Result<std::shared_ptr<CachedPlan>> result_;
+  std::promise<void> started_;
+  std::future<void> started_future_ = started_.get_future();
+  std::promise<void> release_;
+};
+
+std::shared_ptr<CachedPlan> MakePlan(const std::string& sql) {
+  auto plan = std::make_shared<CachedPlan>();
+  plan->sql_text = sql;
+  return plan;
+}
+
+/// Single-flight edge cases: a waiter on a failed compile retries with its
+/// own compile, and Clear() (DDL) wakes waiters instead of stranding them
+/// behind a compile against the old schema, which then is not cached.
+TEST(ConcurrencyTest, PlanCacheWaitersSurviveFailedCompileAndClear) {
+  const std::string sql = "SELECT a FROM t";
+  PlanCache cache(8);
+  auto own_compile = [&sql] {
+    return common::Result<std::shared_ptr<CachedPlan>>(MakePlan(sql));
+  };
+
+  HeldCompile failing(common::Status::InvalidArgument("no such table"));
+  auto first = std::async(std::launch::async, [&] {
+    return cache.GetOrCompile(sql, [&failing] { return failing(); });
+  });
+  failing.Started();
+  auto waiter = std::async(std::launch::async, [&] {
+    return cache.GetOrCompile(sql, own_compile);
+  });
+  failing.Release();
+  EXPECT_FALSE(first.get().ok());
+  auto retried = waiter.get();
+  ASSERT_TRUE(retried.ok());
+  EXPECT_EQ(cache.Get(sql), *retried);
+  EXPECT_EQ(cache.misses(), 2u);  // each compile counts once
+
+  cache.Clear();
+  auto stale_plan = MakePlan(sql);
+  HeldCompile stale(stale_plan);
+  auto old_schema = std::async(std::launch::async, [&] {
+    return cache.GetOrCompile(sql, [&stale] { return stale(); });
+  });
+  stale.Started();
+  auto blocked = std::async(std::launch::async, [&] {
+    return cache.GetOrCompile(sql, own_compile);
+  });
+  cache.Clear();
+  // The waiter must finish while the abandoned compile is still held.
+  const bool woke = blocked.wait_for(std::chrono::seconds(10)) ==
+                    std::future_status::ready;
+  stale.Release();
+  ASSERT_TRUE(woke);
+  auto fresh = blocked.get();
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_NE(*fresh, stale_plan);
+  EXPECT_EQ(*old_schema.get(), stale_plan);
+  EXPECT_EQ(cache.Get(sql), *fresh);
+  EXPECT_EQ(cache.size(), 1u);
 }
 
 TEST(ConcurrencyTest, ConcurrentInsertsDistinctKeys) {

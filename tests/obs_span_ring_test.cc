@@ -51,6 +51,8 @@ TEST(SpanRingTest, RecordsAllFieldsInOrder) {
     s.start_nanos = static_cast<int64_t>(i) * 100;
     s.detail = static_cast<uint8_t>(i);
     s.depth = static_cast<uint8_t>(i + 1);
+    s.fired = static_cast<uint32_t>(0xfffffff0u + i);
+    s.ts_micros = -static_cast<int64_t>(i) * 1'000'000'007;
     ring.Record(s);
   }
   const auto spans = ring.Snapshot();
@@ -66,6 +68,8 @@ TEST(SpanRingTest, RecordsAllFieldsInOrder) {
     EXPECT_EQ(spans[i].kind, SpanKind::kCondition);
     EXPECT_EQ(spans[i].detail, static_cast<uint8_t>(n));
     EXPECT_EQ(spans[i].depth, static_cast<uint8_t>(n + 1));
+    EXPECT_EQ(spans[i].fired, static_cast<uint32_t>(0xfffffff0u + n));
+    EXPECT_EQ(spans[i].ts_micros, -static_cast<int64_t>(n) * 1'000'000'007);
   }
 }
 
