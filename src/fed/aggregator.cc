@@ -12,7 +12,6 @@
 
 #include "common/fault.h"
 #include "common/string_util.h"
-#include "fed/state_table.h"
 #include "storage/table_io.h"
 
 namespace sqlcm::fed {
@@ -197,8 +196,7 @@ Status FleetAggregator::ApplyDelta(const Delta& delta, bool replay,
   // record can never leave the fleet LATs partially updated.
   struct Staged {
     FleetLat* fl;
-    std::unique_ptr<storage::Table> table;
-    size_t records;
+    std::vector<Row> records;
   };
   std::vector<Staged> staged;
   staged.reserve(delta.lats.size());
@@ -208,25 +206,26 @@ Status FleetAggregator::ApplyDelta(const Delta& delta, bool replay,
       return Status::InvalidArgument("delta for unknown fleet LAT '" +
                                      section.lat_name + "'");
     }
-    SQLCM_ASSIGN_OR_RETURN(auto table, MakeStateStagingTable(*fl->lat));
+    Staged s{fl, {}};
+    s.records.reserve(section.records.size());
     for (const DeltaRecord& record : section.records) {
-      // Dry-parse the codec cells (width + block grammar) up front;
-      // MergeState below can then only fail on real I/O.
+      // Dry-parse the codec cells (width, kinds, block and sketch grammar)
+      // up front, so MergeState below cannot fail half-way.
       Row scratch;
       SQLCM_RETURN_IF_ERROR(
           fl->lat->DiffStateRecord(record.cells, nullptr, &scratch)
               .status());
-      SQLCM_RETURN_IF_ERROR(table->Insert(record.cells).status());
+      s.records.push_back(record.cells);
     }
-    staged.push_back({fl, std::move(table), section.records.size()});
+    staged.push_back(std::move(s));
   }
   // Durability before effect: once journaled (fsync'd), the delta survives
   // an aggregator crash even though the ack races the merge.
   if (!replay) SQLCM_RETURN_IF_ERROR(AppendJournal(payload));
   for (Staged& s : staged) {
-    SQLCM_RETURN_IF_ERROR(s.fl->lat->MergeState(*s.table, now_micros));
+    SQLCM_RETURN_IF_ERROR(s.fl->lat->MergeState(s.records, now_micros));
     ++s.fl->deltas_applied;
-    s.fl->records_merged += s.records;
+    s.fl->records_merged += s.records.size();
     s.fl->last_ingest_micros = now_micros;
   }
   if (delta.epoch < peer.last_epoch) {
@@ -358,21 +357,11 @@ Status FleetAggregator::Checkpoint() {
   state.node_id = "fleet";
   state.created_micros = now_micros;
   for (FleetLat& fl : lats_) {
-    SQLCM_ASSIGN_OR_RETURN(auto staging, MakeStateStagingTable(*fl.lat));
-    SQLCM_RETURN_IF_ERROR(fl.lat->ExportState(staging.get(), now_micros));
     LatSection section;
     section.lat_name = fl.lat->name();
-    std::optional<Row> after;
-    std::vector<Row> keys, rows;
-    for (;;) {
-      keys.clear();
-      rows.clear();
-      if (staging->ScanBatch(after, 256, &keys, &rows) == 0) break;
-      after = keys.back();
-      for (Row& row : rows) {
-        section.records.push_back(
-            {cm::Lat::StateDeltaMode::kFresh, std::move(row)});
-      }
+    for (Row& row : fl.lat->ExportState()) {
+      section.records.push_back(
+          {cm::Lat::StateDeltaMode::kFresh, std::move(row)});
     }
     if (!section.records.empty()) state.lats.push_back(std::move(section));
   }
@@ -477,12 +466,12 @@ Status FleetAggregator::LoadCheckpoint() {
       for (const LatSection& section : state.lats) {
         FleetLat* fl = FindLat(section.lat_name);
         if (fl == nullptr) continue;  // LAT retired since the checkpoint
-        SQLCM_ASSIGN_OR_RETURN(auto staging,
-                               MakeStateStagingTable(*fl->lat));
+        std::vector<Row> records;
+        records.reserve(section.records.size());
         for (const DeltaRecord& record : section.records) {
-          SQLCM_RETURN_IF_ERROR(staging->Insert(record.cells).status());
+          records.push_back(record.cells);
         }
-        SQLCM_RETURN_IF_ERROR(fl->lat->MergeState(*staging, now_micros));
+        SQLCM_RETURN_IF_ERROR(fl->lat->MergeState(records, now_micros));
       }
       pos += static_cast<size_t>(len);
     }

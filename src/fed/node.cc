@@ -5,13 +5,11 @@
 #include <cerrno>
 #include <cstring>
 #include <fstream>
-#include <optional>
 #include <sstream>
 
 #include "common/fault.h"
 #include "common/string_util.h"
 #include "fed/delta.h"
-#include "fed/state_table.h"
 #include "storage/table_io.h"
 
 namespace sqlcm::fed {
@@ -201,35 +199,24 @@ Result<int64_t> FedNode::ExportEpoch() {
     next_generations[i] = lat->reset_generation();
     const bool force_fresh =
         next_generations[i] != lats_[i].reset_generation;
-    SQLCM_ASSIGN_OR_RETURN(auto staging, MakeStateStagingTable(*lat));
-    SQLCM_RETURN_IF_ERROR(lat->ExportState(staging.get(), start_micros));
     LatSection section;
     section.lat_name = lat->name();
-    const size_t group_width = lat->group_width();
-    std::optional<Row> after;
-    std::vector<Row> keys, rows;
-    for (;;) {
-      keys.clear();
-      rows.clear();
-      if (staging->ScanBatch(after, 256, &keys, &rows) == 0) break;
-      after = keys.back();
-      for (Row& record : rows) {
-        Row key = GroupKeyOf(record, group_width);
-        const auto base = force_fresh ? lats_[i].baseline.end()
-                                      : lats_[i].baseline.find(key);
-        Row diffed;
-        SQLCM_ASSIGN_OR_RETURN(
-            const StateDeltaMode mode,
-            lat->DiffStateRecord(
-                record, base != lats_[i].baseline.end() ? &base->second
-                                                        : nullptr,
-                &diffed));
-        if (mode != StateDeltaMode::kNone) {
-          section.records.push_back({mode, std::move(diffed)});
-          ++shipped;
-        }
-        next_baselines[i][std::move(key)] = std::move(record);
+    for (Row& record : lat->ExportState()) {
+      Row key = GroupKeyOf(record, lat->group_width());
+      const auto base = force_fresh ? lats_[i].baseline.end()
+                                    : lats_[i].baseline.find(key);
+      Row diffed;
+      SQLCM_ASSIGN_OR_RETURN(
+          const StateDeltaMode mode,
+          lat->DiffStateRecord(
+              record,
+              base != lats_[i].baseline.end() ? &base->second : nullptr,
+              &diffed));
+      if (mode != StateDeltaMode::kNone) {
+        section.records.push_back({mode, std::move(diffed)});
+        ++shipped;
       }
+      next_baselines[i][std::move(key)] = std::move(record);
     }
     if (!section.records.empty()) delta.lats.push_back(std::move(section));
   }

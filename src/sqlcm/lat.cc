@@ -274,13 +274,6 @@ int Lat::FindColumn(std::string_view name) const {
   return -1;
 }
 
-Row Lat::GroupKeyFor(const void* record) const {
-  Row key;
-  key.reserve(group_getters_.size());
-  for (AttributeGetter getter : group_getters_) key.push_back(getter(record));
-  return key;
-}
-
 uint64_t Lat::HashGroupKey(const Row& key) const {
   return MixHash(static_cast<uint64_t>(common::HashRow(key)));
 }
@@ -362,52 +355,27 @@ void Lat::FoldValue(AggState* state, const LatAggColumn& col, Value v,
     return;
   }
   if (col.aging) {
-    // Locate (or open) the block for `now`; prune expired blocks.
+    // Locate (or open) the block for `now`, then prune and cap the deque.
     if (state->blocks == nullptr) {
       state->blocks = std::make_unique<std::deque<AgingBlock>>();
     }
     std::deque<AgingBlock>& blocks = *state->blocks;
     const int64_t block_start =
         now_micros - (now_micros % spec_.aging_block_micros);
-    // Overload shedding defers pruning only. Rotation must always run: a
-    // fresh value folded into a stale-labelled block would be silently
-    // dropped by AggValue's horizon filter, so the current block's label
-    // has to match `now` even under shed.
-    if (!shed_aging_.load(std::memory_order_relaxed)) {
-      while (!blocks.empty() &&
-             blocks.front().block_start + spec_.aging_block_micros <=
-                 now_micros - spec_.aging_window_micros) {
-        blocks.pop_front();
-      }
-    }
     if (blocks.empty() || blocks.back().block_start != block_start) {
       AgingBlock block;
       block.block_start = block_start;
       blocks.push_back(std::move(block));
-      // With pruning deferred the deque would grow one block per Δ without
-      // bound; cap it by folding the oldest block into its neighbour. At
-      // max_aging_blocks_ both front blocks are already outside the window
-      // (the cap includes t/Δ + 3 slack), so the merge only coarsens
-      // expired history and is invisible to reads.
-      while (blocks.size() > max_aging_blocks_) {
-        const AgingBlock& oldest = blocks[0];
-        AgingBlock& into = blocks[1];
-        into.count += oldest.count;
-        into.sum += oldest.sum;
-        into.sumsq += oldest.sumsq;
-        if (oldest.any) {
-          if (!into.any || oldest.min.Compare(into.min) < 0) {
-            into.min = oldest.min;
-          }
-          if (!into.any || oldest.max.Compare(into.max) > 0) {
-            into.max = oldest.max;
-          }
-          into.any = true;
-        }
-        blocks.pop_front();
-        stats_.aging_merges.Inc();
-      }
     }
+    // Overload shedding defers pruning only. Rotation (above) must always
+    // run: a fresh value folded into a stale-labelled block would be
+    // silently dropped by AggValue's horizon filter. With pruning deferred
+    // the deque would grow one block per Δ without bound; the cap folds
+    // the oldest block into its neighbour instead. At the cap both front
+    // blocks are already outside the window (it includes t/Δ + 3 slack), so
+    // the merge only coarsens expired history and is invisible to reads.
+    TrimBlocks(&blocks, now_micros,
+               /*prune=*/!shed_aging_.load(std::memory_order_relaxed));
     AgingBlock& block = blocks.back();
     ++block.count;
     if (v.is_numeric()) {
@@ -453,26 +421,20 @@ Value Lat::AggValue(const AggState& state, const LatAggColumn& col,
     // switch with count = 0 / any = false, so every aggregate's
     // empty-window answer (COUNT 0, STDEV 0, SUM/AVG/MIN/MAX NULL) comes
     // from exactly one code path. (A duplicated early return here once
-    // disagreed with the aged-out path for aging STDEV — PR 7 — and the
+    // disagreed with the aged-out path for aging STDEV, and the
     // duplication itself was the bug class.)
-    count = 0;
-    sum = sumsq = 0;
-    any = false;
-    min = max = Value::Null();
+    AgingBlock window;
     if (state.blocks != nullptr) {
-      const int64_t horizon = now_micros - spec_.aging_window_micros;
       for (const AgingBlock& block : *state.blocks) {
-        if (block.block_start + spec_.aging_block_micros <= horizon) continue;
-        count += block.count;
-        sum += block.sum;
-        sumsq += block.sumsq;
-        if (block.any) {
-          if (!any || block.min.Compare(min) < 0) min = block.min;
-          if (!any || block.max.Compare(max) > 0) max = block.max;
-          any = true;
-        }
+        if (!BlockExpired(block, now_micros)) FoldBlock(&window, block);
       }
     }
+    count = window.count;
+    sum = window.sum;
+    sumsq = window.sumsq;
+    any = window.any;
+    min = std::move(window.min);
+    max = std::move(window.max);
   }
   switch (col.func) {
     case LatAggFunc::kCount:
@@ -561,25 +523,32 @@ size_t Lat::ApproxRowBytesLocked(const LatRow& row) {
   return bytes;
 }
 
+template <typename Fn>
+void Lat::ForEachFilledRow(Fn&& fn) const {
+  std::vector<std::shared_ptr<LatRow>> rows;
+  rows.reserve(size());
+  for (size_t s = 0; s < shard_count_; ++s) {
+    const Shard& shard = shards_[s];
+    std::lock_guard<common::SpinLatch> map_guard(shard.map_latch);
+    for (const auto& [_, head] : shard.map) {
+      for (std::shared_ptr<LatRow> row = head; row != nullptr;
+           row = row->next) {
+        rows.push_back(row);
+      }
+    }
+  }
+  for (const auto& row : rows) {
+    std::lock_guard<common::SpinLatch> row_guard(row->latch);
+    if (row->filled) fn(*row);
+  }
+}
+
 void Lat::SketchFootprint(size_t* sketch_bytes, size_t* sketch_cells) const {
   size_t bytes = 0;
   size_t cells = 0;
   if (has_sketch_) {
-    std::vector<std::shared_ptr<LatRow>> rows;
-    rows.reserve(size());
-    for (size_t s = 0; s < shard_count_; ++s) {
-      const Shard& shard = shards_[s];
-      std::lock_guard<common::SpinLatch> map_guard(shard.map_latch);
-      for (const auto& [_, head] : shard.map) {
-        for (std::shared_ptr<LatRow> row = head; row != nullptr;
-             row = row->next) {
-          rows.push_back(row);
-        }
-      }
-    }
-    for (const auto& row : rows) {
-      std::lock_guard<common::SpinLatch> row_guard(row->latch);
-      for (const AggState& state : row->aggs) {
+    ForEachFilledRow([&](const LatRow& row) {
+      for (const AggState& state : row.aggs) {
         if (state.qsketch != nullptr) {
           bytes += state.qsketch->ApproxBytes();
           cells += state.qsketch->bucket_count();
@@ -589,7 +558,7 @@ void Lat::SketchFootprint(size_t* sketch_bytes, size_t* sketch_cells) const {
           cells += state.hll->register_count();
         }
       }
-    }
+    });
   }
   if (sketch_bytes != nullptr) *sketch_bytes = bytes;
   if (sketch_cells != nullptr) *sketch_cells = cells;
@@ -597,21 +566,26 @@ void Lat::SketchFootprint(size_t* sketch_bytes, size_t* sketch_cells) const {
 
 namespace {
 
-/// Latch guard for the Insert hot path that feeds LatStats: every
-/// acquisition is counted, and a failed try_lock (another thread holds the
-/// latch, we must spin) counts as contention.
+/// Latch guard for the write paths. With `stats` set (the insert paths)
+/// every acquisition is counted, and a failed try_lock (another thread
+/// holds the latch, we must spin) counts as contention; with null stats it
+/// is a plain lock.
 class CountedLatchGuard {
  public:
-  CountedLatchGuard(common::SpinLatch& latch, LatStats& stats)
+  CountedLatchGuard(common::SpinLatch& latch, LatStats* stats)
       : latch_(latch) {
-    stats.latch_acquisitions.Inc();
+    if (stats == nullptr) {
+      latch_.lock();
+      return;
+    }
+    stats->latch_acquisitions.Inc();
     if (!latch_.try_lock()) {
-      stats.latch_contention.Inc();
+      stats->latch_contention.Inc();
       latch_.lock();
     } else if (common::FaultFires(kFaultLatLatch)) {
       // Injected stall: account an uncontended acquisition as contention so
       // tests can drive the contention path without real thread races.
-      stats.latch_contention.Inc();
+      stats->latch_contention.Inc();
     }
   }
   ~CountedLatchGuard() { latch_.unlock(); }
@@ -624,6 +598,58 @@ class CountedLatchGuard {
 
 }  // namespace
 
+std::shared_ptr<Lat::LatRow> Lat::GetOrCreateRow(const Row& key,
+                                                 LatStats* latch_stats) {
+  const uint64_t hash = HashGroupKey(key);
+  Shard& shard = ShardFor(hash);
+  std::shared_ptr<LatRow> row;
+  bool created = false;
+  {
+    CountedLatchGuard map_guard(shard.map_latch, latch_stats);
+    row = FindOrCreateLocked(&shard, hash, key, &created);
+  }
+  if (created) total_rows_.fetch_add(1, std::memory_order_acq_rel);
+  return row;
+}
+
+template <typename Fold>
+void Lat::FoldAndPlace(const std::shared_ptr<LatRow>& row,
+                       LatStats* latch_stats, Evict evict,
+                       int64_t evict_micros, Fold&& fold) {
+  const bool bounded = spec_.max_rows > 0 || spec_.max_bytes > 0;
+  Row ordering_key;
+  size_t row_bytes = 0;
+  bool place = false;
+  {
+    CountedLatchGuard row_guard(row->latch, latch_stats);
+    const int64_t order_micros = fold(*row);
+    row->filled = true;
+    if (bounded) {
+      ordering_key = OrderingKeyLocked(*row, order_micros);
+      if (spec_.max_bytes > 0) row_bytes = ApproxRowBytesLocked(*row);
+      // With no byte accounting to refresh and an unchanged ordering key
+      // (common for MIN/MAX/FIRST orderings) the heap position is already
+      // right and the budgets did not move: skip the heap latch entirely.
+      place = spec_.max_bytes > 0 ||
+              !row->in_heap.load(std::memory_order_acquire) ||
+              !common::RowEq()(ordering_key, row->ordering_cache);
+      if (place) {
+        row->ordering_cache = ordering_key;
+      } else {
+        stats_.heap_skips.Inc();
+      }
+    }
+  }
+  if (!bounded) return;
+  if (place) {
+    MaintainHeap(&ShardFor(row->hash), row, std::move(ordering_key),
+                 row_bytes);
+  }
+  if (evict != Evict::kDeferred) {
+    EvictOverBudget(evict_micros, evict == Evict::kNotify);
+  }
+}
+
 void Lat::Insert(const void* record, int64_t now_micros) {
   stats_.inserts.Inc();
   // Probe with the thread-local scratch key: no Row allocation on the hit
@@ -632,49 +658,15 @@ void Lat::Insert(const void* record, int64_t now_micros) {
   Row& key = ScratchKey();
   key.clear();
   for (AttributeGetter getter : group_getters_) key.push_back(getter(record));
-  const uint64_t hash = HashGroupKey(key);
-  Shard& shard = ShardFor(hash);
-
-  std::shared_ptr<LatRow> row;
-  bool created = false;
-  {
-    CountedLatchGuard map_guard(shard.map_latch, stats_);
-    row = FindOrCreateLocked(&shard, hash, key, &created);
-  }
-  if (created) total_rows_.fetch_add(1, std::memory_order_acq_rel);
-
-  const bool bounded = spec_.max_rows > 0 || spec_.max_bytes > 0;
-  Row ordering_key;
-  size_t row_bytes = 0;
-  bool skip_heap = false;
-  {
-    CountedLatchGuard row_guard(row->latch, stats_);
+  const std::shared_ptr<LatRow> row = GetOrCreateRow(key, &stats_);
+  FoldAndPlace(row, &stats_, Evict::kNotify, now_micros, [&](LatRow& r) {
     for (size_t a = 0; a < spec_.aggregates.size(); ++a) {
       Value v = agg_getters_[a] != nullptr ? agg_getters_[a](record)
                                            : Value::Int(1);
-      FoldValue(&row->aggs[a], spec_.aggregates[a], std::move(v), now_micros);
+      FoldValue(&r.aggs[a], spec_.aggregates[a], std::move(v), now_micros);
     }
-    row->filled = true;
-    if (bounded) {
-      ordering_key = OrderingKeyLocked(*row, now_micros);
-      if (spec_.max_bytes > 0) {
-        row_bytes = ApproxRowBytesLocked(*row);
-      } else if (row->in_heap.load(std::memory_order_acquire) &&
-                 common::RowEq()(ordering_key, row->ordering_cache)) {
-        // Ordering unchanged (common for MIN/MAX/FIRST orderings) and no
-        // byte accounting to refresh: the heap position is already right
-        // and the budgets did not move, so skip the heap latch entirely.
-        skip_heap = true;
-        stats_.heap_skips.Inc();
-      }
-      if (!skip_heap) row->ordering_cache = ordering_key;
-    }
-  }
-
-  if (!bounded || skip_heap) return;
-
-  MaintainHeap(&shard, row, std::move(ordering_key), row_bytes);
-  EvictOverBudget(now_micros, /*notify=*/true);
+    return now_micros;
+  });
 }
 
 void Lat::InsertBatch(const LatBatchItem* items, size_t count) {
@@ -706,12 +698,12 @@ void Lat::InsertBatch(const LatBatchItem* items, size_t count) {
     return (hashes[a] & shard_mask) < (hashes[b] & shard_mask);
   });
   std::vector<std::shared_ptr<LatRow>> rows(count);
-  size_t created_rows = 0;
+  int64_t created_rows = 0;
   for (size_t pos = 0; pos < count;) {
     const uint64_t shard_idx = hashes[order[pos]] & shard_mask;
     Shard& shard = shards_[shard_idx];
     size_t end = pos;
-    CountedLatchGuard map_guard(shard.map_latch, stats_);
+    CountedLatchGuard map_guard(shard.map_latch, &stats_);
     while (end < count && (hashes[order[end]] & shard_mask) == shard_idx) {
       const size_t i = order[end];
       bool created = false;
@@ -727,6 +719,8 @@ void Lat::InsertBatch(const LatBatchItem* items, size_t count) {
 
   // Phase 3: fold per distinct group — one row latch per group, that
   // group's items in arrival order so FIRST/LAST match a sequential replay.
+  // Bounded LATs enforce the budget once, after the last group is placed
+  // (every new group was already counted in phase 2).
   std::unordered_map<LatRow*, size_t> row_index;
   row_index.reserve(count);
   std::vector<std::shared_ptr<LatRow>> distinct;
@@ -739,50 +733,30 @@ void Lat::InsertBatch(const LatBatchItem* items, size_t count) {
     }
     row_items[it->second].push_back(i);
   }
-  const bool bounded = spec_.max_rows > 0 || spec_.max_bytes > 0;
   for (size_t r = 0; r < distinct.size(); ++r) {
-    const std::shared_ptr<LatRow>& row = distinct[r];
-    Row ordering_key;
-    size_t row_bytes = 0;
-    bool skip_heap = false;
-    {
-      CountedLatchGuard row_guard(row->latch, stats_);
-      int64_t row_now = 0;
-      for (size_t i : row_items[r]) {
-        for (size_t a = 0; a < spec_.aggregates.size(); ++a) {
-          Value v = agg_getters_[a] != nullptr ? agg_getters_[a](items[i].record)
-                                               : Value::Int(1);
-          FoldValue(&row->aggs[a], spec_.aggregates[a], std::move(v),
-                    items[i].now_micros);
-        }
-        row_now = items[i].now_micros;
-      }
-      row->filled = true;
-      if (bounded) {
-        ordering_key = OrderingKeyLocked(*row, row_now);
-        if (spec_.max_bytes > 0) {
-          row_bytes = ApproxRowBytesLocked(*row);
-        } else if (row->in_heap.load(std::memory_order_acquire) &&
-                   common::RowEq()(ordering_key, row->ordering_cache)) {
-          skip_heap = true;
-          stats_.heap_skips.Inc();
-        }
-        if (!skip_heap) row->ordering_cache = ordering_key;
-      }
-    }
-    if (bounded && !skip_heap) {
-      MaintainHeap(&ShardFor(row->hash), row, std::move(ordering_key),
-                   row_bytes);
-    }
-  }
-  if (bounded) {
-    EvictOverBudget(items[count - 1].now_micros, /*notify=*/true);
+    const Evict evict =
+        r + 1 == distinct.size() ? Evict::kNotify : Evict::kDeferred;
+    FoldAndPlace(distinct[r], &stats_, evict, items[count - 1].now_micros,
+                 [&](LatRow& row) {
+                   int64_t row_now = 0;
+                   for (size_t i : row_items[r]) {
+                     for (size_t a = 0; a < spec_.aggregates.size(); ++a) {
+                       Value v = agg_getters_[a] != nullptr
+                                     ? agg_getters_[a](items[i].record)
+                                     : Value::Int(1);
+                       FoldValue(&row.aggs[a], spec_.aggregates[a],
+                                 std::move(v), items[i].now_micros);
+                     }
+                     row_now = items[i].now_micros;
+                   }
+                   return row_now;
+                 });
   }
 }
 
 void Lat::MaintainHeap(Shard* shard, const std::shared_ptr<LatRow>& row,
                        Row ordering_key, size_t row_bytes) {
-  CountedLatchGuard heap_guard(shard->heap_latch, stats_);
+  CountedLatchGuard heap_guard(shard->heap_latch, &stats_);
   if (row->evicted) {
     // Racing update to a row already chosen for eviction: drop it.
     return;
@@ -893,7 +867,8 @@ void Lat::Reset() {
   }
   // Subtract what was actually removed (rather than storing zero) so rows
   // added concurrently in already-cleared shards stay accounted.
-  total_rows_.fetch_sub(removed_rows, std::memory_order_acq_rel);
+  total_rows_.fetch_sub(static_cast<int64_t>(removed_rows),
+                        std::memory_order_acq_rel);
   total_bytes_.fetch_sub(removed_bytes, std::memory_order_acq_rel);
   reset_generation_.fetch_add(1, std::memory_order_acq_rel);
 }
@@ -923,24 +898,11 @@ bool Lat::LookupByKey(const Row& group_key, int64_t now_micros,
 }
 
 std::vector<Row> Lat::Snapshot(int64_t now_micros) const {
-  std::vector<std::shared_ptr<LatRow>> rows;
-  rows.reserve(size());
-  for (size_t s = 0; s < shard_count_; ++s) {
-    const Shard& shard = shards_[s];
-    std::lock_guard<common::SpinLatch> map_guard(shard.map_latch);
-    for (const auto& [_, head] : shard.map) {
-      for (std::shared_ptr<LatRow> row = head; row != nullptr;
-           row = row->next) {
-        rows.push_back(row);
-      }
-    }
-  }
   std::vector<Row> out;
-  out.reserve(rows.size());
-  for (const auto& row : rows) {
-    std::lock_guard<common::SpinLatch> row_guard(row->latch);
-    if (row->filled) out.push_back(MaterializeLocked(*row, now_micros));
-  }
+  out.reserve(size());
+  ForEachFilledRow([&](const LatRow& row) {
+    out.push_back(MaterializeLocked(row, now_micros));
+  });
   if (!ordering_columns_.empty()) {
     const auto& ordering_cols = ordering_columns_;
     std::stable_sort(out.begin(), out.end(),
@@ -1146,18 +1108,50 @@ std::vector<std::string_view> SplitStateField(std::string_view s, char sep) {
   }
 }
 
+/// Merge-joins `from` into `*into` by block_start (both ascending: blocks
+/// are created in time order and shipped in deque order); a block present
+/// on both sides is combined by `combine(&into_block, from_block)`.
+template <typename Block, typename Combine>
+void MergeJoinBlocks(std::deque<Block>* into, const std::deque<Block>& from,
+                     Combine combine) {
+  std::deque<Block> merged;
+  auto it = into->begin();
+  for (const Block& block : from) {
+    while (it != into->end() && it->block_start < block.block_start) {
+      merged.push_back(std::move(*it++));
+    }
+    if (it != into->end() && it->block_start == block.block_start) {
+      merged.push_back(std::move(*it++));
+      combine(&merged.back(), block);
+    } else {
+      merged.push_back(block);
+    }
+  }
+  while (it != into->end()) merged.push_back(std::move(*it++));
+  *into = std::move(merged);
+}
+
+/// Width rule for tables holding materialized LAT rows (PersistTo,
+/// SeedFrom): the LAT's `width` columns, optionally followed by one trailing
+/// INT timestamp. Returns whether the timestamp column is present.
+Result<bool> HasTimestampColumn(const storage::Table& table, size_t width,
+                                const std::string& lat_name) {
+  const size_t cols = table.schema().num_columns();
+  if (cols != width && cols != width + 1) {
+    return Status::InvalidArgument(
+        "table '" + table.name() + "' has " + std::to_string(cols) +
+        " columns; LAT '" + lat_name + "' rows have " +
+        std::to_string(width) + " (+1 optional timestamp)");
+  }
+  return cols == width + 1;
+}
+
 }  // namespace
 
 Status Lat::PersistTo(storage::Table* table, int64_t timestamp_micros,
                       int64_t now_micros) const {
-  const size_t width = table->schema().num_columns();
-  const bool with_timestamp = width == num_columns() + 1;
-  if (!with_timestamp && width != num_columns()) {
-    return Status::InvalidArgument(
-        "table '" + table->name() + "' has " + std::to_string(width) +
-        " columns; LAT '" + name() + "' produces " +
-        std::to_string(num_columns()) + " (+1 optional timestamp)");
-  }
+  SQLCM_ASSIGN_OR_RETURN(const bool with_timestamp,
+                         HasTimestampColumn(*table, num_columns(), name()));
   for (Row& row : Snapshot(now_micros)) {
     if (with_timestamp) row.push_back(Value::Int(timestamp_micros));
     SQLCM_RETURN_IF_ERROR(table->Insert(std::move(row)).status());
@@ -1165,31 +1159,27 @@ Status Lat::PersistTo(storage::Table* table, int64_t timestamp_micros,
   return Status::OK();
 }
 
-bool Lat::AdoptSeededRow(std::shared_ptr<LatRow> row, int64_t now_micros) {
-  const uint64_t hash = row->hash;
-  Shard& shard = ShardFor(hash);
-  row->filled = true;  // not yet shared: no latch needed
+bool Lat::AdoptSeededRow(Row group_key, std::vector<AggState> aggs,
+                         int64_t now_micros) {
+  auto row = std::make_shared<LatRow>();
+  row->hash = HashGroupKey(group_key);
+  row->group_key = std::move(group_key);
+  row->aggs = std::move(aggs);
+  Shard& shard = ShardFor(row->hash);
   {
     std::lock_guard<common::SpinLatch> map_guard(shard.map_latch);
-    if (FindInShardLocked(shard, hash, row->group_key) != nullptr) {
+    if (FindInShardLocked(shard, row->hash, row->group_key) != nullptr) {
       return false;  // live data wins
     }
-    row->next = std::move(shard.map[hash]);
-    shard.map[hash] = row;
+    row->next = std::move(shard.map[row->hash]);
+    shard.map[row->hash] = row;
   }
   total_rows_.fetch_add(1, std::memory_order_acq_rel);
-  if (spec_.max_rows > 0 || spec_.max_bytes > 0) {
-    Row ordering_key;
-    {
-      std::lock_guard<common::SpinLatch> row_guard(row->latch);
-      ordering_key = OrderingKeyLocked(*row, now_micros);
-      row->ordering_cache = ordering_key;
-    }
-    const size_t row_bytes =
-        spec_.max_bytes > 0 ? ApproxRowBytesLocked(*row) : 0;
-    MaintainHeap(&shard, row, std::move(ordering_key), row_bytes);
-    EvictOverBudget(now_micros, /*notify=*/false);
-  }
+  // Linked: a concurrent Insert may already be folding into the row, so its
+  // ordering key and byte share are read under the row latch like any
+  // other write's.
+  FoldAndPlace(row, nullptr, Evict::kSilent, now_micros,
+               [now_micros](LatRow&) { return now_micros; });
   return true;
 }
 
@@ -1206,14 +1196,8 @@ Status Lat::SeedFrom(const storage::Table& table, int64_t now_micros) {
         "cannot reconstruct sketch state — restore from a v3 state "
         "snapshot (ImportState) instead");
   }
-  const size_t width = table.schema().num_columns();
-  const bool with_timestamp = width == num_columns() + 1;
-  if (!with_timestamp && width != num_columns()) {
-    return Status::InvalidArgument(
-        "table '" + table.name() + "' has " + std::to_string(width) +
-        " columns; LAT '" + name() + "' expects " +
-        std::to_string(num_columns()) + " (+1 optional timestamp)");
-  }
+  SQLCM_RETURN_IF_ERROR(
+      HasTimestampColumn(table, num_columns(), name()).status());
   // The first non-aging COUNT column drives the seed count n for
   // SUM/AVG/STDEV reconstruction (n = 1 when absent).
   int count_col = -1;
@@ -1251,83 +1235,71 @@ Status Lat::SeedFrom(const storage::Table& table, int64_t now_micros) {
     }
   }
 
-  std::optional<Row> after;
-  std::vector<Row> keys, rows;
-  for (;;) {
-    keys.clear();
-    rows.clear();
-    if (table.ScanBatch(after, 256, &keys, &rows) == 0) break;
-    after = keys.back();
-    for (Row& persisted : rows) {
-      Row group_key(persisted.begin(),
-                    persisted.begin() + static_cast<long>(group_width()));
-      auto row = std::make_shared<LatRow>();
-      row->hash = HashGroupKey(group_key);
-      row->group_key = std::move(group_key);
-      row->aggs.resize(spec_.aggregates.size());
-      int64_t seed_count = 1;
-      if (count_col >= 0 &&
-          persisted[static_cast<size_t>(count_col)].is_int()) {
-        seed_count =
-            std::max<int64_t>(1, persisted[static_cast<size_t>(count_col)]
-                                     .int_value());
-      }
-      for (size_t a = 0; a < spec_.aggregates.size(); ++a) {
-        const LatAggColumn& col = spec_.aggregates[a];
-        if (col.aging) {
-          // A materialized row holds only the windowed output value, not
-          // the block history; reconstruction would mislabel old data as
-          // current. v2 state snapshots (ImportState) restore these.
-          continue;
-        }
-        const Value& v = persisted[group_width() + a];
-        AggState& state = row->aggs[a];
-        switch (col.func) {
-          case LatAggFunc::kCount:
-            state.count = v.is_int() ? v.int_value() : 0;
-            break;
-          case LatAggFunc::kSum:
-            state.count = seed_count;
-            state.sum = v.is_numeric() ? v.AsDouble() : 0;
-            break;
-          case LatAggFunc::kAvg:
-            state.count = seed_count;
-            state.sum =
-                v.is_numeric() ? v.AsDouble() * static_cast<double>(seed_count)
-                               : 0;
-            break;
-          case LatAggFunc::kStdev: {
-            state.count = seed_count;
-            double sum = 0;
-            if (stdev_source[a] >= 0) {
-              const Value& src = persisted[static_cast<size_t>(stdev_source[a])];
-              if (src.is_numeric()) {
-                sum = stdev_source_is_avg[a]
-                          ? src.AsDouble() * static_cast<double>(seed_count)
-                          : src.AsDouble();
-              }
-            }
-            const double s = v.is_numeric() ? v.AsDouble() : 0;
-            const double n = static_cast<double>(seed_count);
-            state.sum = sum;
-            state.sumsq =
-                seed_count >= 2 ? s * s * (n - 1) + sum * sum / n : sum * sum;
-            break;
-          }
-          case LatAggFunc::kMin:
-          case LatAggFunc::kMax:
-          case LatAggFunc::kFirst:
-          case LatAggFunc::kLast:
-            state.min = state.max = state.first = state.last = v;
-            state.any = !v.is_null();
-            break;
-          case LatAggFunc::kQuantile:
-          case LatAggFunc::kDistinct:
-            break;  // unreachable: sketch-bearing specs rejected above
-        }
-      }
-      AdoptSeededRow(std::move(row), now_micros);
+  for (const Row& persisted : table.ScanAll()) {
+    std::vector<AggState> aggs(spec_.aggregates.size());
+    int64_t seed_count = 1;
+    if (count_col >= 0 && persisted[static_cast<size_t>(count_col)].is_int()) {
+      seed_count = std::max<int64_t>(
+          1, persisted[static_cast<size_t>(count_col)].int_value());
     }
+    for (size_t a = 0; a < spec_.aggregates.size(); ++a) {
+      const LatAggColumn& col = spec_.aggregates[a];
+      if (col.aging) {
+        // A materialized row holds only the windowed output value, not
+        // the block history; reconstruction would mislabel old data as
+        // current. State records (ImportState) restore these.
+        continue;
+      }
+      const Value& v = persisted[group_width() + a];
+      AggState& state = aggs[a];
+      switch (col.func) {
+        case LatAggFunc::kCount:
+          state.count = v.is_int() ? v.int_value() : 0;
+          break;
+        case LatAggFunc::kSum:
+          state.count = seed_count;
+          state.sum = v.is_numeric() ? v.AsDouble() : 0;
+          break;
+        case LatAggFunc::kAvg:
+          state.count = seed_count;
+          state.sum =
+              v.is_numeric() ? v.AsDouble() * static_cast<double>(seed_count)
+                             : 0;
+          break;
+        case LatAggFunc::kStdev: {
+          state.count = seed_count;
+          double sum = 0;
+          if (stdev_source[a] >= 0) {
+            const Value& src = persisted[static_cast<size_t>(stdev_source[a])];
+            if (src.is_numeric()) {
+              sum = stdev_source_is_avg[a]
+                        ? src.AsDouble() * static_cast<double>(seed_count)
+                        : src.AsDouble();
+            }
+          }
+          const double s = v.is_numeric() ? v.AsDouble() : 0;
+          const double n = static_cast<double>(seed_count);
+          state.sum = sum;
+          state.sumsq =
+              seed_count >= 2 ? s * s * (n - 1) + sum * sum / n : sum * sum;
+          break;
+        }
+        case LatAggFunc::kMin:
+        case LatAggFunc::kMax:
+        case LatAggFunc::kFirst:
+        case LatAggFunc::kLast:
+          state.min = state.max = state.first = state.last = v;
+          state.any = !v.is_null();
+          break;
+        case LatAggFunc::kQuantile:
+        case LatAggFunc::kDistinct:
+          break;  // unreachable: sketch-bearing specs rejected above
+      }
+    }
+    AdoptSeededRow(
+        Row(persisted.begin(),
+            persisted.begin() + static_cast<long>(group_width())),
+        std::move(aggs), now_micros);
   }
   return Status::OK();
 }
@@ -1354,13 +1326,10 @@ std::vector<ValueKind> Lat::StateColumnKinds() const {
       column_kinds_.begin(),
       column_kinds_.begin() + static_cast<long>(group_width()));
   for (size_t a = 0; a < spec_.aggregates.size(); ++a) {
-    kinds.push_back(ValueKind::kInt);     // #count
-    kinds.push_back(ValueKind::kDouble);  // #sum
-    kinds.push_back(ValueKind::kDouble);  // #sumsq
-    kinds.push_back(ValueKind::kBool);    // #any
-    for (int i = 0; i < 5; ++i) {
-      kinds.push_back(ValueKind::kString);  // #min/#max/#first/#last/#blocks
-    }
+    // #count #sum #sumsq #any, then #min/#max/#first/#last/#blocks.
+    kinds.insert(kinds.end(), {ValueKind::kInt, ValueKind::kDouble,
+                               ValueKind::kDouble, ValueKind::kBool});
+    kinds.insert(kinds.end(), 5, ValueKind::kString);
     if (LatAggFuncIsSketch(spec_.aggregates[a].func)) {
       kinds.push_back(ValueKind::kString);  // #sketch
     }
@@ -1368,43 +1337,17 @@ std::vector<ValueKind> Lat::StateColumnKinds() const {
   return kinds;
 }
 
-Status Lat::ExportState(storage::Table* table,
-                        int64_t timestamp_micros) const {
-  const size_t state_width = this->state_width();
-  const size_t width = table->schema().num_columns();
-  const bool with_timestamp = width == state_width + 1;
-  if (!with_timestamp && width != state_width) {
-    return Status::InvalidArgument(
-        "table '" + table->name() + "' has " + std::to_string(width) +
-        " columns; LAT '" + name() + "' state records have " +
-        std::to_string(state_width) + " (+1 optional timestamp)");
-  }
-  std::vector<std::shared_ptr<LatRow>> lat_rows;
-  lat_rows.reserve(size());
-  for (size_t s = 0; s < shard_count_; ++s) {
-    const Shard& shard = shards_[s];
-    std::lock_guard<common::SpinLatch> map_guard(shard.map_latch);
-    for (const auto& [_, head] : shard.map) {
-      for (std::shared_ptr<LatRow> row = head; row != nullptr;
-           row = row->next) {
-        lat_rows.push_back(row);
-      }
-    }
-  }
-  for (const auto& row : lat_rows) {
+std::vector<Row> Lat::ExportState() const {
+  std::vector<Row> records;
+  records.reserve(size());
+  ForEachFilledRow([&](const LatRow& row) {
     Row record;
-    record.reserve(width);
-    {
-      std::lock_guard<common::SpinLatch> row_guard(row->latch);
-      if (!row->filled) continue;
-      record.insert(record.end(), row->group_key.begin(),
-                    row->group_key.end());
-      AppendStateAggs(row->aggs, &record);
-    }
-    if (with_timestamp) record.push_back(Value::Int(timestamp_micros));
-    SQLCM_RETURN_IF_ERROR(table->Insert(std::move(record)).status());
-  }
-  return Status::OK();
+    record.reserve(state_width_);
+    record.insert(record.end(), row.group_key.begin(), row.group_key.end());
+    AppendStateAggs(row.aggs, &record);
+    records.push_back(std::move(record));
+  });
+  return records;
 }
 
 void Lat::AppendStateAggs(const std::vector<AggState>& aggs,
@@ -1451,42 +1394,48 @@ void Lat::AppendStateAggs(const std::vector<AggState>& aggs,
   }
 }
 
-Status Lat::ImportState(const storage::Table& table, int64_t now_micros) {
-  const size_t state_width = this->state_width();
-  const size_t width = table.schema().num_columns();
-  const bool with_timestamp = width == state_width + 1;
-  if (!with_timestamp && width != state_width) {
-    return Status::InvalidArgument(
-        "table '" + table.name() + "' has " + std::to_string(width) +
-        " columns; LAT '" + name() + "' state records have " +
-        std::to_string(state_width) + " (+1 optional timestamp)");
-  }
-  std::optional<Row> after;
-  std::vector<Row> keys, rows;
-  for (;;) {
-    keys.clear();
-    rows.clear();
-    if (table.ScanBatch(after, 256, &keys, &rows) == 0) break;
-    after = keys.back();
-    for (Row& persisted : rows) {
-      Row group_key(persisted.begin(),
-                    persisted.begin() + static_cast<long>(group_width()));
-      auto row = std::make_shared<LatRow>();
-      row->hash = HashGroupKey(group_key);
-      row->group_key = std::move(group_key);
-      SQLCM_RETURN_IF_ERROR(ParseStateAggs(persisted, &row->aggs));
-      AdoptSeededRow(std::move(row), now_micros);
-    }
+Status Lat::ImportState(const std::vector<Row>& records,
+                        int64_t now_micros) {
+  for (const Row& record : records) {
+    SQLCM_RETURN_IF_ERROR(CheckStateRecordWidth(record));
+    std::vector<AggState> aggs;
+    SQLCM_RETURN_IF_ERROR(ParseStateAggs(record, &aggs));
+    AdoptSeededRow(
+        Row(record.begin(), record.begin() + static_cast<long>(group_width())),
+        std::move(aggs), now_micros);
   }
   return Status::OK();
 }
 
 Status Lat::ParseStateAggs(const Row& record,
                            std::vector<AggState>* aggs) const {
+  // Every cell is NULL or of its StateColumnKinds() kind (#sum/#sumsq also
+  // take an INT); anything else is a foreign or corrupt record.
+  const auto kind_error = [&](size_t cell) {
+    return Status::ParseError("LAT '" + name() + "' state: cell " +
+                              std::to_string(cell) + " has kind " +
+                              common::ValueKindName(record[cell].kind()));
+  };
+  for (size_t c = 0; c < group_width(); ++c) {
+    if (!record[c].is_null() && record[c].kind() != column_kinds_[c]) {
+      return kind_error(c);
+    }
+  }
   aggs->clear();
   aggs->resize(spec_.aggregates.size());
   for (size_t a = 0; a < spec_.aggregates.size(); ++a) {
     const size_t base = state_agg_base_[a];
+    const size_t end =
+        base + (LatAggFuncIsSketch(spec_.aggregates[a].func) ? 10 : 9);
+    for (size_t c = base; c < end; ++c) {
+      const Value& cell = record[c];
+      const bool ok = cell.is_null() ||
+                      (c == base       ? cell.is_int()
+                       : c < base + 3  ? cell.is_numeric()
+                       : c == base + 3 ? cell.is_bool()
+                                       : cell.is_string());
+      if (!ok) return kind_error(c);
+    }
     AggState& state = (*aggs)[a];
     const Value& count_v = record[base];
     const Value& sum_v = record[base + 1];
@@ -1501,10 +1450,6 @@ Status Lat::ParseStateAggs(const Row& record,
     for (int i = 0; i < 4; ++i) {
       const Value& cell = record[base + 4 + static_cast<size_t>(i)];
       if (cell.is_null()) continue;
-      if (!cell.is_string()) {
-        return Status::ParseError("LAT '" + name() +
-                                  "' state: expected tagged value");
-      }
       SQLCM_ASSIGN_OR_RETURN(*dest[i],
                              DecodeTaggedValue(cell.string_value()));
     }
@@ -1562,12 +1507,11 @@ Status Lat::ParseStateAggs(const Row& record,
 // ---------------------------------------------------------------------------
 
 Status Lat::CheckStateRecordWidth(const Row& record) const {
-  const size_t state_width = this->state_width();
-  if (record.size() != state_width) {
+  if (record.size() != state_width_) {
     return Status::InvalidArgument(
         "state record has " + std::to_string(record.size()) +
         " cells; LAT '" + name() + "' state records have " +
-        std::to_string(state_width));
+        std::to_string(state_width_));
   }
   return Status::OK();
 }
@@ -1606,54 +1550,31 @@ void Lat::FoldAggState(AggState* dst, const AggState& src) {
   if (dst->blocks == nullptr) {
     dst->blocks = std::make_unique<std::deque<AgingBlock>>();
   }
-  // Merge-join by block_start; both deques are ascending (blocks are
-  // created in time order and shipped in deque order).
-  std::deque<AgingBlock> merged;
-  auto di = dst->blocks->begin();
-  const auto dend = dst->blocks->end();
-  for (const AgingBlock& sb : *src.blocks) {
-    while (di != dend && di->block_start < sb.block_start) {
-      merged.push_back(std::move(*di++));
-    }
-    if (di != dend && di->block_start == sb.block_start) {
-      AgingBlock b = std::move(*di++);
-      b.count += sb.count;
-      b.sum += sb.sum;
-      b.sumsq += sb.sumsq;
-      if (sb.any) {
-        if (!b.any || sb.min.Compare(b.min) < 0) b.min = sb.min;
-        if (!b.any || sb.max.Compare(b.max) > 0) b.max = sb.max;
-        b.any = true;
-      }
-      merged.push_back(std::move(b));
-    } else {
-      merged.push_back(sb);
-    }
-  }
-  while (di != dend) merged.push_back(std::move(*di++));
-  *dst->blocks = std::move(merged);
+  MergeJoinBlocks(dst->blocks.get(), *src.blocks, &Lat::FoldBlock);
 }
 
-void Lat::PruneMergedBlocks(AggState* state, int64_t now_micros) {
-  if (state->blocks == nullptr) return;
-  std::deque<AgingBlock>& blocks = *state->blocks;
-  while (!blocks.empty() &&
-         blocks.front().block_start + spec_.aging_block_micros <=
-             now_micros - spec_.aging_window_micros) {
-    blocks.pop_front();
+void Lat::FoldBlock(AgingBlock* into, const AgingBlock& from) {
+  into->count += from.count;
+  into->sum += from.sum;
+  into->sumsq += from.sumsq;
+  if (from.any) {
+    if (!into->any || from.min.Compare(into->min) < 0) into->min = from.min;
+    if (!into->any || from.max.Compare(into->max) > 0) into->max = from.max;
+    into->any = true;
   }
-  while (blocks.size() > std::max<size_t>(max_aging_blocks_, 1)) {
-    const AgingBlock& oldest = blocks[0];
-    AgingBlock& into = blocks[1];
-    into.count += oldest.count;
-    into.sum += oldest.sum;
-    into.sumsq += oldest.sumsq;
-    if (oldest.any) {
-      if (!into.any || oldest.min.Compare(into.min) < 0) into.min = oldest.min;
-      if (!into.any || oldest.max.Compare(into.max) > 0) into.max = oldest.max;
-      into.any = true;
-    }
-    blocks.pop_front();
+}
+
+void Lat::TrimBlocks(std::deque<AgingBlock>* blocks, int64_t now_micros,
+                     bool prune) {
+  while (prune && !blocks->empty() &&
+         BlockExpired(blocks->front(), now_micros)) {
+    blocks->pop_front();
+  }
+  // max_aging_blocks_ is 0 for specs without aging aggregates; a merged
+  // record can still carry blocks for them, so never cap below one.
+  while (blocks->size() > std::max<size_t>(max_aging_blocks_, 1)) {
+    FoldBlock(&(*blocks)[1], blocks->front());
+    blocks->pop_front();
     stats_.aging_merges.Inc();
   }
 }
@@ -1699,43 +1620,34 @@ Result<Lat::StateDeltaMode> Lat::DiffStateRecord(const Row& current,
     return StateDeltaMode::kFresh;
   }
 
-  // Incremental: additive moments diff; cumulative fields pass through.
+  // Incremental: additive moments diff; cumulative fields (#any/#min/#max/
+  // #first/#last, HLL registers) pass through unchanged.
   // Every state mutation increments an additive count (top-level or block),
   // so "all count increments are zero" is a complete no-change test.
   bool changed = false;
-  std::vector<AggState> diff(cur.size());
   for (size_t a = 0; a < cur.size(); ++a) {
-    AggState& d = diff[a];
-    d.count = cur[a].count - base[a].count;
-    d.sum = cur[a].sum - base[a].sum;
-    d.sumsq = cur[a].sumsq - base[a].sumsq;
-    d.any = cur[a].any;
-    d.min = cur[a].min;
-    d.max = cur[a].max;
-    d.first = cur[a].first;
-    d.last = cur[a].last;
+    AggState& d = cur[a];  // becomes the delta in place
+    const AggState& b = base[a];
+    d.count -= b.count;
+    d.sum -= b.sum;
+    d.sumsq -= b.sumsq;
     if (d.count != 0) changed = true;
-    if (cur[a].qsketch != nullptr) {
+    if (d.qsketch != nullptr) {
       // Quantile sketches are additive: ship the bucket-count increments
       // since the baseline (Subtract aligns the baseline up to the current
       // collapse level first, so a mid-epoch collapse still diffs cleanly).
-      auto dq = std::make_unique<QuantileSketch>(*cur[a].qsketch);
-      if (base[a].qsketch != nullptr) dq->Subtract(*base[a].qsketch);
-      if (!dq->empty()) d.qsketch = std::move(dq);
+      if (b.qsketch != nullptr) d.qsketch->Subtract(*b.qsketch);
+      if (d.qsketch->empty()) d.qsketch.reset();
     }
-    if (cur[a].hll != nullptr) {
-      // HLL registers are fold-stable (max-merge is idempotent): the delta
-      // carries the cumulative register array, like #min/#max.
-      d.hll = std::make_unique<HllSketch>(*cur[a].hll);
-    }
-    if (cur[a].blocks == nullptr) continue;
-    auto bi = base[a].blocks != nullptr ? base[a].blocks->begin()
-                                        : std::deque<AgingBlock>::iterator();
-    const auto bend = base[a].blocks != nullptr
-                          ? base[a].blocks->end()
-                          : std::deque<AgingBlock>::iterator();
+    // HLL registers are fold-stable (max-merge is idempotent): the delta
+    // carries the cumulative register array, like #min/#max.
+    if (d.blocks == nullptr) continue;
+    auto bi = b.blocks != nullptr ? b.blocks->begin()
+                                  : std::deque<AgingBlock>::iterator();
+    const auto bend = b.blocks != nullptr ? b.blocks->end()
+                                          : std::deque<AgingBlock>::iterator();
     std::deque<AgingBlock> shipped;
-    for (const AgingBlock& cb : *cur[a].blocks) {
+    for (const AgingBlock& cb : *d.blocks) {
       while (bi != bend && bi->block_start < cb.block_start) ++bi;
       if (bi != bend && bi->block_start == cb.block_start) {
         if (cb.count == bi->count) continue;  // untouched since baseline
@@ -1749,15 +1661,15 @@ Result<Lat::StateDeltaMode> Lat::DiffStateRecord(const Row& current,
       }
       changed = true;
     }
-    if (!shipped.empty()) {
-      d.blocks = std::make_unique<std::deque<AgingBlock>>(std::move(shipped));
-    }
+    d.blocks = shipped.empty() ? nullptr
+                               : std::make_unique<std::deque<AgingBlock>>(
+                                     std::move(shipped));
   }
   if (!changed) return StateDeltaMode::kNone;
   delta->reserve(current.size());
   delta->insert(delta->end(), current.begin(),
                 current.begin() + static_cast<long>(group_width()));
-  AppendStateAggs(diff, delta);
+  AppendStateAggs(cur, delta);
   return StateDeltaMode::kIncremental;
 }
 
@@ -1802,28 +1714,15 @@ Result<Row> Lat::CombineStateRecords(const Row& base, const Row& delta,
     if (r.blocks == nullptr) {
       r.blocks = std::make_unique<std::deque<AgingBlock>>();
     }
-    std::deque<AgingBlock> merged;
-    auto bi = r.blocks->begin();
-    const auto bend = r.blocks->end();
-    for (const AgingBlock& db : *d.blocks) {
-      while (bi != bend && bi->block_start < db.block_start) {
-        merged.push_back(std::move(*bi++));
-      }
-      if (bi != bend && bi->block_start == db.block_start) {
-        AgingBlock b = std::move(*bi++);
-        b.count += db.count;
-        b.sum += db.sum;
-        b.sumsq += db.sumsq;
-        b.min = db.min;  // cumulative per block in the delta
-        b.max = db.max;
-        b.any = db.any;
-        merged.push_back(std::move(b));
-      } else {
-        merged.push_back(db);
-      }
-    }
-    while (bi != bend) merged.push_back(std::move(*bi++));
-    *r.blocks = std::move(merged);
+    MergeJoinBlocks(r.blocks.get(), *d.blocks,
+                    [](AgingBlock* b, const AgingBlock& db) {
+                      b->count += db.count;
+                      b->sum += db.sum;
+                      b->sumsq += db.sumsq;
+                      b->min = db.min;  // cumulative per block in the delta
+                      b->max = db.max;
+                      b->any = db.any;
+                    });
   }
   Row combined;
   combined.reserve(base.size());
@@ -1833,58 +1732,24 @@ Result<Row> Lat::CombineStateRecords(const Row& base, const Row& delta,
   return combined;
 }
 
-Status Lat::MergeState(const storage::Table& table, int64_t now_micros) {
-  const size_t state_width = this->state_width();
-  const size_t width = table.schema().num_columns();
-  const bool with_timestamp = width == state_width + 1;
-  if (!with_timestamp && width != state_width) {
-    return Status::InvalidArgument(
-        "table '" + table.name() + "' has " + std::to_string(width) +
-        " columns; LAT '" + name() + "' state records have " +
-        std::to_string(state_width) + " (+1 optional timestamp)");
-  }
-  const bool bounded = spec_.max_rows > 0 || spec_.max_bytes > 0;
-  std::optional<Row> after;
-  std::vector<Row> keys, rows;
-  for (;;) {
-    keys.clear();
-    rows.clear();
-    if (table.ScanBatch(after, 256, &keys, &rows) == 0) break;
-    after = keys.back();
-    for (Row& persisted : rows) {
-      std::vector<AggState> incoming;
-      SQLCM_RETURN_IF_ERROR(ParseStateAggs(persisted, &incoming));
-      Row key(persisted.begin(),
-              persisted.begin() + static_cast<long>(group_width()));
-      const uint64_t hash = HashGroupKey(key);
-      Shard& shard = ShardFor(hash);
-      std::shared_ptr<LatRow> row;
-      bool created = false;
-      {
-        std::lock_guard<common::SpinLatch> map_guard(shard.map_latch);
-        row = FindOrCreateLocked(&shard, hash, key, &created);
-      }
-      if (created) total_rows_.fetch_add(1, std::memory_order_acq_rel);
-      Row ordering_key;
-      size_t row_bytes = 0;
-      {
-        std::lock_guard<common::SpinLatch> row_guard(row->latch);
-        for (size_t a = 0; a < row->aggs.size(); ++a) {
-          FoldAggState(&row->aggs[a], incoming[a]);
-          PruneMergedBlocks(&row->aggs[a], now_micros);
-        }
-        row->filled = true;
-        if (bounded) {
-          ordering_key = OrderingKeyLocked(*row, now_micros);
-          row->ordering_cache = ordering_key;
-          if (spec_.max_bytes > 0) row_bytes = ApproxRowBytesLocked(*row);
+Status Lat::MergeState(const std::vector<Row>& records,
+                       int64_t now_micros) {
+  for (const Row& record : records) {
+    SQLCM_RETURN_IF_ERROR(CheckStateRecordWidth(record));
+    std::vector<AggState> incoming;
+    SQLCM_RETURN_IF_ERROR(ParseStateAggs(record, &incoming));
+    const std::shared_ptr<LatRow> row = GetOrCreateRow(
+        Row(record.begin(), record.begin() + static_cast<long>(group_width())),
+        nullptr);
+    FoldAndPlace(row, nullptr, Evict::kSilent, now_micros, [&](LatRow& r) {
+      for (size_t a = 0; a < r.aggs.size(); ++a) {
+        FoldAggState(&r.aggs[a], incoming[a]);
+        if (r.aggs[a].blocks != nullptr) {
+          TrimBlocks(r.aggs[a].blocks.get(), now_micros, /*prune=*/true);
         }
       }
-      if (bounded) {
-        MaintainHeap(&shard, row, std::move(ordering_key), row_bytes);
-        EvictOverBudget(now_micros, /*notify=*/false);
-      }
-    }
+      return now_micros;
+    });
   }
   return Status::OK();
 }

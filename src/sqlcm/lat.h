@@ -13,7 +13,8 @@
 //     are observed (set_evict_observed) the evicted row is materialized and
 //     exposed as a monitored object via the evict callback, otherwise it is
 //     only unlinked, freed and counted;
-//   * persist-to-table and seed-from-table (restart continuity).
+//   * persist-to-table and seed-from-table (restart continuity), plus raw
+//     state records (rows) for lossless snapshots and federation deltas.
 //
 // Concurrency (paper §6.1): rule evaluation and LAT updates run in the
 // threads that trigger events, so the directory is split into 2^k
@@ -30,6 +31,7 @@
 #ifndef SQLCM_SQLCM_LAT_H_
 #define SQLCM_SQLCM_LAT_H_
 
+#include <algorithm>
 #include <atomic>
 #include <deque>
 #include <functional>
@@ -246,7 +248,8 @@ class Lat {
   std::vector<common::Row> Snapshot(int64_t now_micros) const;
 
   size_t size() const {
-    return total_rows_.load(std::memory_order_acquire);
+    return static_cast<size_t>(
+        std::max<int64_t>(0, total_rows_.load(std::memory_order_acquire)));
   }
 
   /// Approximate bytes across all rows (maintained when a byte limit is
@@ -290,9 +293,12 @@ class Lat {
   }
 
   // -- Persistence (§4.3) ------------------------------------------------------
+  //
+  // Tables for materialized rows hold the LAT's columns, optionally followed
+  // by one trailing INT timestamp column.
 
-  /// Appends every row to `table` (schema: LAT columns + trailing INT
-  /// timestamp column when the table is one column wider).
+  /// Appends every row to `table`, stamping `timestamp_micros` when the
+  /// table has the timestamp column.
   common::Status PersistTo(storage::Table* table, int64_t timestamp_micros,
                            int64_t now_micros) const;
 
@@ -307,11 +313,11 @@ class Lat {
   ///     sum from a same-attribute non-aging AVG (avg·n) or SUM column
   ///     when one exists (0 otherwise), sumsq = s²(n−1) + sum²/n;
   ///   * aging aggregates are NOT reconstructed (their windowed history is
-  ///     not present in a materialized row) — use the v2 state snapshot
+  ///     not present in a materialized row) — use the state records
   ///     (ExportState/ImportState) for lossless restarts.
   common::Status SeedFrom(const storage::Table& table, int64_t now_micros);
 
-  // -- Raw-state persistence (v2 snapshots; lossless restart) -----------------
+  // -- Raw-state records (v2/v3 snapshots, federation deltas) -----------------
 
   /// Schema of the raw state record: the group columns, then for every
   /// aggregate column `A` the raw moments `A#count` (INT), `A#sum`,
@@ -321,22 +327,22 @@ class Lat {
   /// aggregates (QUANTILE/DISTINCT) append a 10th `A#sketch` cell (STRING,
   /// the sketch codec from sketch.h) — such snapshots are written as v3
   /// (docs/ROBUSTNESS.md) so older readers fail cleanly instead of
-  /// mis-parsing.
+  /// mis-parsing. A state record is exactly this wide (no timestamp).
   std::vector<std::string> StateColumnNames() const;
   std::vector<common::ValueKind> StateColumnKinds() const;
 
-  /// Appends one state record per group row to `table` (schema:
-  /// StateColumnNames + trailing INT timestamp column when the table is
-  /// one column wider). Lossless: together with ImportState every
-  /// aggregate — including STDEV and mid-window aging variants — restores
-  /// bit-exactly.
-  common::Status ExportState(storage::Table* table,
-                             int64_t timestamp_micros) const;
+  /// One state record per group row, in directory order. Lossless:
+  /// together with ImportState every aggregate — including STDEV and
+  /// mid-window aging variants — restores bit-exactly.
+  std::vector<common::Row> ExportState() const;
 
-  /// Seeds rows from an ExportState table, restoring the raw moments and
-  /// aging-block deques exactly. Rows whose group already exists live are
+  /// Seeds rows from ExportState records, restoring the raw moments and
+  /// aging-block deques exactly. Each record is width- and codec-checked
+  /// before it is adopted; the first bad record fails the call (records
+  /// before it stay adopted). Records whose group already exists live are
   /// skipped (live data wins), matching SeedFrom.
-  common::Status ImportState(const storage::Table& table, int64_t now_micros);
+  common::Status ImportState(const std::vector<common::Row>& records,
+                             int64_t now_micros);
 
   // -- Federation state arithmetic (delta shipping; src/fed) -----------------
   //
@@ -379,13 +385,15 @@ class Lat {
                                                   const common::Row& delta,
                                                   StateDeltaMode mode) const;
 
-  /// Folds every state record of `table` (deltas or full exports) into the
-  /// live directory: additive moments add, min/max fold by comparison,
-  /// FIRST keeps the existing value once set, LAST adopts the incoming one,
-  /// and aging blocks merge-join by block_start (then prune/cap against
-  /// `now_micros` like the insert path). Unlike ImportState, existing groups
-  /// merge rather than win — this is the aggregator's ingest primitive.
-  common::Status MergeState(const storage::Table& table, int64_t now_micros);
+  /// Folds state records (deltas or full exports) into the live directory:
+  /// additive moments add, min/max fold by comparison, FIRST keeps the
+  /// existing value once set, LAST adopts the incoming one, and aging blocks
+  /// merge-join by block_start (then prune/cap against `now_micros` like the
+  /// insert path). Unlike ImportState, existing groups merge rather than
+  /// win — this is the aggregator's ingest primitive. Records are checked
+  /// one at a time like ImportState's.
+  common::Status MergeState(const std::vector<common::Row>& records,
+                            int64_t now_micros);
 
  private:
   struct AgingBlock {
@@ -468,33 +476,72 @@ class Lat {
   /// reference that kept it there; caller holds the shard map latch.
   static std::shared_ptr<LatRow> UnlinkLocked(Shard* shard, LatRow* row);
 
-  common::Row GroupKeyFor(const void* record) const;
+  /// FindOrCreateLocked for `key` under its shard's map latch (counted into
+  /// `latch_stats` when non-null); accounts a created row in total_rows_.
+  std::shared_ptr<LatRow> GetOrCreateRow(const common::Row& key,
+                                         LatStats* latch_stats);
+
   void FoldValue(AggState* state, const LatAggColumn& col, common::Value v,
                  int64_t now_micros);
-  /// Shared raw-state codec: parses the aggregate cells of a state record
-  /// (starting at group_width()) into `*aggs` / appends them to `*record`.
-  /// Used by Import/Export/Merge/Diff/Combine so every consumer agrees on
-  /// one encoding. Members (not statics): sketch-bearing aggregates add a
-  /// 10th `#sketch` cell, so the per-aggregate stride depends on the spec.
+  /// Shared raw-state codec: parses the cells of a state record into
+  /// `*aggs` (rejecting cells of the wrong kind) / appends the aggregate
+  /// cells to `*record`. Used by Import/Export/Merge/Diff/Combine so every
+  /// consumer agrees on one encoding. Members (not statics): sketch-bearing
+  /// aggregates add a 10th `#sketch` cell, so the per-aggregate stride
+  /// depends on the spec.
   common::Status ParseStateAggs(const common::Row& record,
                                 std::vector<AggState>* aggs) const;
   void AppendStateAggs(const std::vector<AggState>& aggs,
                        common::Row* record) const;
   /// Verifies `record` has exactly the state-record width (no timestamp).
   common::Status CheckStateRecordWidth(const common::Row& record) const;
-  /// Total state-record width (group columns + per-aggregate codec cells).
-  size_t state_width() const { return state_width_; }
   /// Folds `src` into `dst` under fleet-merge semantics (see MergeState).
   /// Member: sketch merges honour the spec's byte budget (and count
   /// collapses in stats_).
   void FoldAggState(AggState* dst, const AggState& src);
-  /// Post-merge aging hygiene: prune expired blocks, cap the deque like the
-  /// insert path (merging the oldest pair when over ⌈2t/Δ⌉ + slack).
-  void PruneMergedBlocks(AggState* state, int64_t now_micros);
+
+  // Aging blocks (§4.3).
+  /// Adds `from`'s count/sum/sumsq to `into` and folds its min/max.
+  static void FoldBlock(AgingBlock* into, const AgingBlock& from);
+  /// True once `block` lies entirely outside the window ending at `now`.
+  bool BlockExpired(const AgingBlock& block, int64_t now_micros) const {
+    return block.block_start + spec_.aging_block_micros <=
+           now_micros - spec_.aging_window_micros;
+  }
+  /// Drops expired blocks from the front (when `prune`), then folds the
+  /// oldest pair together while the deque exceeds the ⌈2t/Δ⌉ + slack cap
+  /// (counted by LatStats::aging_merges).
+  void TrimBlocks(std::deque<AgingBlock>* blocks, int64_t now_micros,
+                  bool prune);
+
   /// Links a reconstructed row (from SeedFrom/ImportState) into its shard
-  /// unless the group already exists live, then runs the bounded-size
-  /// bookkeeping. Returns false when live data won.
-  bool AdoptSeededRow(std::shared_ptr<LatRow> row, int64_t now_micros);
+  /// unless the group already exists live, then places it like any other
+  /// write. Returns false when live data won.
+  bool AdoptSeededRow(common::Row group_key, std::vector<AggState> aggs,
+                      int64_t now_micros);
+
+  /// How a write ends after placing its row (see FoldAndPlace).
+  enum class Evict : uint8_t {
+    kDeferred,  ///< the caller enforces the budget later (InsertBatch)
+    kNotify,    ///< enforce now; victims reach the evict callback
+    kSilent,    ///< enforce now; victims are only counted (seed/import/merge)
+  };
+  /// The one write step shared by Insert, each InsertBatch group,
+  /// MergeState and seeding. Under `row`'s latch (counted into
+  /// `latch_stats` when non-null) it runs `fold(LatRow&)`, which returns
+  /// the clock to order the row by, and marks the row filled. Bounded LATs
+  /// then recompute the ordering key and byte share under the same hold,
+  /// reposition the row in its shard heap unless neither moved (counted as
+  /// a heap skip), and enforce the row/byte budget at `evict_micros` unless
+  /// `evict` is kDeferred. Defined in lat.cc, its only user.
+  template <typename Fold>
+  void FoldAndPlace(const std::shared_ptr<LatRow>& row, LatStats* latch_stats,
+                    Evict evict, int64_t evict_micros, Fold&& fold);
+  /// Runs `fn(const LatRow&)` under each filled row's latch, after one walk
+  /// that collects every row from every shard (map latches only).
+  template <typename Fn>
+  void ForEachFilledRow(Fn&& fn) const;
+
   common::Value AggValue(const AggState& state, const LatAggColumn& col,
                          int64_t now_micros) const;
   common::Row MaterializeLocked(const LatRow& row, int64_t now_micros) const;
@@ -515,7 +562,7 @@ class Lat {
   /// evictions are observed.
   void EvictOverBudget(int64_t now_micros, bool notify);
   bool OverBudget() const {
-    const size_t rows = total_rows_.load(std::memory_order_acquire);
+    const size_t rows = size();
     if (spec_.max_rows > 0 && rows > spec_.max_rows) return true;
     return spec_.max_bytes > 0 && rows > 1 &&
            total_bytes_.load(std::memory_order_acquire) > spec_.max_bytes;
@@ -560,7 +607,10 @@ class Lat {
   /// Serializes cross-shard eviction and Reset; never acquired while any
   /// other LAT latch is held.
   mutable common::SpinLatch evict_latch_;
-  std::atomic<size_t> total_rows_{0};
+  /// Signed: a row is counted just after it is linked, so a Reset racing
+  /// the link can subtract it first and leave the count briefly negative
+  /// (size() reads that as 0; unsigned, it wrapped to ~2^64).
+  std::atomic<int64_t> total_rows_{0};
   std::atomic<size_t> total_bytes_{0};
 
   std::atomic<bool> shed_aging_{false};

@@ -401,7 +401,10 @@ Status MonitorEngine::CheckpointLat(std::string_view lat_name,
   // operator/maintenance threads, outside any event dispatch.
   const bool spans_on = spans_.enabled();
   const int64_t cp_start = spans_on ? SteadyNanos() : 0;
-  SQLCM_RETURN_IF_ERROR(lat->ExportState(staging.get(), now));
+  for (Row& record : lat->ExportState()) {
+    record.push_back(Value::Int(now));  // persist_ts
+    SQLCM_RETURN_IF_ERROR(staging->Insert(std::move(record)).status());
+  }
   int retries = 0;
   // Sketch-bearing state records carry extra `#sketch` cells, so they are
   // tagged v3 — a reader without sketch support then rejects the file
@@ -462,7 +465,9 @@ Status MonitorEngine::RestoreLat(std::string_view lat_name,
         storage::LoadTableCsv(staging.get(), file_path, nullptr, &info);
     if (status.ok() && info.version == state_version) {
       note_fallback(info);
-      return lat->ImportState(*staging, now);
+      std::vector<Row> records = staging->ScanAll();
+      for (Row& record : records) record.pop_back();  // persist_ts
+      return lat->ImportState(records, now);
     }
   }
   // v1 / legacy headerless CSV: materialized rows, seeded with the

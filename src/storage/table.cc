@@ -163,6 +163,13 @@ size_t Table::ScanBatch(const std::optional<Row>& after, size_t limit,
   return copied;
 }
 
+std::vector<Row> Table::ScanAll() const {
+  std::vector<Row> keys, rows;
+  std::optional<Row> after;
+  while (ScanBatch(after, 1024, &keys, &rows) > 0) after = keys.back();
+  return rows;
+}
+
 Status Table::IndexPrefixLookup(std::string_view index_name, const Row& prefix,
                                 std::vector<Row>* keys_out,
                                 std::vector<Row>* rows_out) const {

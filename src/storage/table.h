@@ -81,6 +81,9 @@ class Table {
                    std::vector<common::Row>* keys_out,
                    std::vector<common::Row>* rows_out) const;
 
+  /// Every row in key order (ScanBatch until the end of the table).
+  std::vector<common::Row> ScanAll() const;
+
   /// Rows whose index key starts with `prefix` (equality on the first
   /// |prefix| index columns). `index_name` empty means the primary index.
   /// Appends (key, row) pairs. NotFound for unknown index name.

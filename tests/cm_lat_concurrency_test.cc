@@ -299,6 +299,58 @@ TEST(LatConcurrencyTest, CheckpointRestoreRace) {
   EXPECT_EQ(total, 3 * 4000);
 }
 
+// ImportState links each restored row into the directory before placing
+// it, so writers folding into the same groups race the import's byte
+// accounting. The row's byte share must be read under its row latch (the
+// shared write step); TSan flags the read otherwise.
+TEST(LatConcurrencyTest, ImportStateRacesWritersUnderByteBudget) {
+  LatSpec spec;
+  spec.name = "import";
+  spec.group_by = {{"Logical_Signature", "Sig"}};
+  spec.aggregates = {{LatAggFunc::kCount, "", "N", false},
+                     {LatAggFunc::kLast, "Query_Text", "LastText", false}};
+  spec.ordering = {{"N", true}};
+  spec.max_bytes = size_t{1} << 30;  // accounting on, never binding
+  spec.shard_count = 4;
+  constexpr int kGroups = 32;
+  constexpr int kWriters = 3;
+  constexpr int kInserts = 600;
+
+  auto source = *Lat::Create(spec);
+  for (int g = 0; g < kGroups; ++g) {
+    auto rec = MakeQuery("sig" + std::to_string(g), 1.0);
+    source->Insert(&rec, 0);
+  }
+  const std::vector<Row> records = source->ExportState();
+
+  for (int round = 0; round < 8; ++round) {
+    auto lat = *Lat::Create(spec);
+    std::vector<std::thread> writers;
+    for (int t = 0; t < kWriters; ++t) {
+      writers.emplace_back([&lat, t] {
+        for (int i = 0; i < kInserts; ++i) {
+          auto rec = MakeQuery("sig" + std::to_string((t * 5 + i) % kGroups),
+                               0.5);
+          rec.text = std::string(static_cast<size_t>(i % 40), 'x');
+          lat->Insert(&rec, 0);
+        }
+      });
+    }
+    ASSERT_TRUE(lat->ImportState(records, 0).ok());
+    for (auto& w : writers) w.join();
+
+    // Every group exists once; each holds its writers' inserts plus the
+    // imported count when the import won the race for it.
+    const std::vector<Row> rows = lat->Snapshot(0);
+    ASSERT_EQ(rows.size(), static_cast<size_t>(kGroups));
+    int64_t total = 0;
+    for (const Row& row : rows) total += row[1].int_value();
+    EXPECT_GE(total, kWriters * kInserts);
+    EXPECT_LE(total, kWriters * kInserts + kGroups);
+    EXPECT_GT(lat->approx_bytes(), 0u);
+  }
+}
+
 TEST(LatConcurrencyTest, HeapSkipOnUnchangedOrderingKey) {
   LatSpec spec;
   spec.name = "skip";

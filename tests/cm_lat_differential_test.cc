@@ -4,7 +4,8 @@
 // A single driver interleaves inserts, mock-clock advances, shed-aging
 // toggles, Resets and full checkpoint/restore cycles (ExportState →
 // version-negotiated snapshot file (v3 when sketch cells are present, v2
-// otherwise) → LoadTableCsv → ImportState into a fresh Lat), then
+// otherwise) → LoadTableCsv → ImportState, or MergeState in the merge
+// arms, into a fresh Lat), then
 // periodically compares every group's materialized row between the two
 // implementations. Batched configs route production inserts through
 // Lat::InsertBatch (the async pipeline's vectorized flush) against the
@@ -19,6 +20,7 @@
 //   SQLCM_DIFF_SEED  PRNG seed (default fixed; CI logs a random one)
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cmath>
@@ -158,6 +160,15 @@ struct DiffCase {
   /// positive durations so the worst-case collapse level — and hence the
   /// quantile error bound — stays derivable in the test.
   size_t sketch_budget = 0;
+  /// Restore checkpoints through MergeState (the fleet aggregator's ingest
+  /// primitive) into the empty fresh Lat instead of ImportState: folding a
+  /// full export into nothing must read exactly like adopting it.
+  bool merge_restore = false;
+  /// LatSpec::max_bytes for the production LAT only. ReferenceLat has no
+  /// byte model, so the budget is set far above any reachable footprint:
+  /// the arm drives byte accounting through every write path (which also
+  /// disables the heap-skip shortcut) and checks results do not move.
+  size_t byte_budget = 0;
 };
 
 class LatDifferentialTest : public ::testing::TestWithParam<DiffCase> {};
@@ -170,19 +181,21 @@ TEST_P(LatDifferentialTest, ProductionMatchesReferenceOracle) {
   // SQLCM_DIFF_SEED (PR-2 seed-logging convention).
   std::fprintf(stderr,
                "[differential] ops=%llu seed=%llu bounded=%d shards=%zu "
-               "batched=%d sketch=%d budget=%zu\n",
+               "batched=%d sketch=%d budget=%zu merge=%d bytes=%zu\n",
                static_cast<unsigned long long>(ops),
                static_cast<unsigned long long>(seed), param.bounded ? 1 : 0,
                param.shard_count, param.batched ? 1 : 0,
-               param.sketch ? 1 : 0, param.sketch_budget);
+               param.sketch ? 1 : 0, param.sketch_budget,
+               param.merge_restore ? 1 : 0, param.byte_budget);
   RecordProperty("sqlcm_diff_seed", std::to_string(seed));
 
-  const LatSpec spec = DiffSpec(param.bounded, param.shard_count,
-                                param.sketch, param.sketch_budget);
+  LatSpec spec = DiffSpec(param.bounded, param.shard_count, param.sketch,
+                          param.sketch_budget);
+  auto ref_or = ReferenceLat::Create(spec);
+  spec.max_bytes = param.byte_budget;
   auto lat_or = Lat::Create(spec);
   ASSERT_TRUE(lat_or.ok()) << lat_or.status().ToString();
   std::unique_ptr<Lat> lat = std::move(*lat_or);
-  auto ref_or = ReferenceLat::Create(spec);
   ASSERT_TRUE(ref_or.ok()) << ref_or.status().ToString();
   std::unique_ptr<ReferenceLat> ref = std::move(*ref_or);
 
@@ -214,12 +227,17 @@ TEST_P(LatDifferentialTest, ProductionMatchesReferenceOracle) {
 
   common::Random rng(seed);
   common::MockClock clock(1);
+  // The pid keeps concurrent runs of this binary (e.g. a long fuzz run
+  // beside the suite) from sharing snapshot files.
   const std::string snapshot_path =
       ::testing::TempDir() + "/lat_differential_" +
+      std::to_string(::getpid()) + "_" +
       std::to_string(param.bounded) + "_" +
       std::to_string(param.shard_count) + "_" +
       std::to_string(param.sketch) + "_" +
-      std::to_string(param.sketch_budget) + ".snap";
+      std::to_string(param.sketch_budget) + "_" +
+      std::to_string(param.merge_restore) + "_" +
+      std::to_string(param.byte_budget) + ".snap";
   std::remove(snapshot_path.c_str());
   std::remove((snapshot_path + ".bak").c_str());
 
@@ -245,6 +263,12 @@ TEST_P(LatDifferentialTest, ProductionMatchesReferenceOracle) {
   };
   auto compare_all = [&](uint64_t op) {
     ASSERT_EQ(lat->size(), ref->size()) << "row-count divergence at op " << op;
+    if (param.byte_budget > 0) {
+      // The budget must never bind (the oracle cannot model it), and every
+      // live row carries a byte share.
+      ASSERT_LE(lat->approx_bytes(), param.byte_budget);
+      ASSERT_EQ(lat->approx_bytes() > 0, lat->size() > 0) << "at op " << op;
+    }
     const int64_t now = clock.NowMicros();
     for (size_t k = 0; k < kKeyPool; ++k) {
       const Row key = {Value::String("sig" + std::to_string(k))};
@@ -340,9 +364,12 @@ TEST_P(LatDifferentialTest, ProductionMatchesReferenceOracle) {
       ASSERT_EQ(lat->HasSketchAggs(), param.sketch);
       const int64_t now = clock.NowMicros();
       auto staging = MakeStateTable(*lat);
-      auto status = lat->ExportState(staging.get(), now);
-      ASSERT_TRUE(status.ok()) << status.ToString();
-      status = storage::WriteTableCsv(*staging, snapshot_path, snap_version);
+      for (Row& record : lat->ExportState()) {
+        auto inserted = staging->Insert(std::move(record));
+        ASSERT_TRUE(inserted.ok()) << inserted.status().ToString();
+      }
+      auto status =
+          storage::WriteTableCsv(*staging, snapshot_path, snap_version);
       ASSERT_TRUE(status.ok()) << status.ToString();
       auto loaded = MakeStateTable(*lat);
       storage::SnapshotLoadInfo info;
@@ -352,7 +379,9 @@ TEST_P(LatDifferentialTest, ProductionMatchesReferenceOracle) {
       ASSERT_EQ(info.version, snap_version);
       auto fresh = Lat::Create(spec);
       ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
-      status = (*fresh)->ImportState(*loaded, now);
+      const std::vector<Row> records = loaded->ScanAll();
+      status = param.merge_restore ? (*fresh)->MergeState(records, now)
+                                   : (*fresh)->ImportState(records, now);
       ASSERT_TRUE(status.ok()) << status.ToString();
       (*fresh)->set_shed_aging(shed);
       lat = std::move(*fresh);
@@ -377,7 +406,16 @@ INSTANTIATE_TEST_SUITE_P(
                       DiffCase{false, 1, false, true},
                       DiffCase{true, 8, false, true},
                       DiffCase{false, 8, true, true},
-                      DiffCase{false, 8, false, true, 4096}),
+                      DiffCase{false, 8, false, true, 4096},
+                      DiffCase{.bounded = true, .shard_count = 8,
+                               .merge_restore = true},
+                      DiffCase{.bounded = true, .shard_count = 8,
+                               .merge_restore = true,
+                               .byte_budget = size_t{1} << 40},
+                      DiffCase{.bounded = false, .shard_count = 1,
+                               .merge_restore = true},
+                      DiffCase{.bounded = false, .shard_count = 8,
+                               .sketch = true, .merge_restore = true}),
     [](const ::testing::TestParamInfo<DiffCase>& info) {
       std::string name =
           std::string(info.param.bounded ? "Bounded" : "Unbounded") +
@@ -386,6 +424,8 @@ INSTANTIATE_TEST_SUITE_P(
       if (info.param.sketch) {
         name += info.param.sketch_budget > 0 ? "SketchBudgeted" : "Sketch";
       }
+      if (info.param.byte_budget > 0) name += "Bytes";
+      if (info.param.merge_restore) name += "Merge";
       return name;
     });
 

@@ -6,7 +6,6 @@
 #include <cmath>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -477,19 +476,6 @@ catalog::ColumnType StateTypeFor(common::ValueKind kind) {
   }
 }
 
-std::unique_ptr<storage::Table> MakeStateTable(const Lat& lat) {
-  const std::vector<std::string> names = lat.StateColumnNames();
-  const std::vector<common::ValueKind> kinds = lat.StateColumnKinds();
-  std::vector<catalog::Column> columns;
-  for (size_t i = 0; i < names.size(); ++i) {
-    columns.push_back({names[i], StateTypeFor(kinds[i])});
-  }
-  columns.push_back({"persist_ts", catalog::ColumnType::kInt});
-  auto schema = catalog::TableSchema::Create("state", std::move(columns), {});
-  EXPECT_TRUE(schema.ok()) << schema.status().ToString();
-  return std::make_unique<storage::Table>(0, std::move(*schema));
-}
-
 std::unique_ptr<storage::Table> MakeV1Table(const Lat& lat) {
   std::vector<catalog::Column> columns;
   for (size_t i = 0; i < lat.num_columns(); ++i) {
@@ -501,20 +487,7 @@ std::unique_ptr<storage::Table> MakeV1Table(const Lat& lat) {
   return std::make_unique<storage::Table>(0, std::move(*schema));
 }
 
-std::vector<Row> AllTableRows(const storage::Table& table) {
-  std::optional<Row> after;
-  std::vector<Row> keys, rows, out;
-  for (;;) {
-    keys.clear();
-    rows.clear();
-    if (table.ScanBatch(after, 256, &keys, &rows) == 0) break;
-    after = keys.back();
-    out.insert(out.end(), rows.begin(), rows.end());
-  }
-  return out;
-}
-
-/// Order-independent rendering of a table's rows. Doubles render with the
+/// Order-independent rendering of state records. Doubles render with the
 /// shortest exact spelling, so string equality here is bit equality.
 std::string RenderRows(const std::vector<Row>& rows) {
   std::vector<std::string> lines;
@@ -572,12 +545,11 @@ TEST_P(LatStateSnapshotTest, CheckpointRestoreCheckpointIsIdempotent) {
     now += static_cast<int64_t>(rng.Uniform(700));
   }
 
-  auto first = MakeStateTable(*lat);
-  ASSERT_TRUE(lat->ExportState(first.get(), 42).ok());
-  EXPECT_EQ(first->row_count(), lat->size());
+  const std::vector<Row> first = lat->ExportState();
+  EXPECT_EQ(first.size(), lat->size());
 
   auto restored = *Lat::Create(spec);
-  ASSERT_TRUE(restored->ImportState(*first, now).ok());
+  ASSERT_TRUE(restored->ImportState(first, now).ok());
   EXPECT_EQ(restored->size(), lat->size());
 
   for (int k = 0; k < 7; ++k) {
@@ -593,9 +565,7 @@ TEST_P(LatStateSnapshotTest, CheckpointRestoreCheckpointIsIdempotent) {
     }
   }
 
-  auto second = MakeStateTable(*restored);
-  ASSERT_TRUE(restored->ExportState(second.get(), 42).ok());
-  EXPECT_EQ(RenderRows(AllTableRows(*first)), RenderRows(AllTableRows(*second)));
+  EXPECT_EQ(RenderRows(first), RenderRows(restored->ExportState()));
 }
 
 INSTANTIATE_TEST_SUITE_P(AgingAndShards, LatStateSnapshotTest,
@@ -612,10 +582,8 @@ TEST(LatTest, StateRoundTripPreservesHostileStrings) {
   lat->Insert(&q1, 0);
   lat->Insert(&q2, 0);
 
-  auto table = MakeStateTable(*lat);
-  ASSERT_TRUE(lat->ExportState(table.get(), 0).ok());
   auto restored = *Lat::Create(spec);
-  ASSERT_TRUE(restored->ImportState(*table, 0).ok());
+  ASSERT_TRUE(restored->ImportState(lat->ExportState(), 0).ok());
   Row row;
   ASSERT_TRUE(restored->LookupByKey({Value::String("s")}, 0, &row));
   EXPECT_EQ(row[7].string_value(), "a:b;c%d");  // FIRST
@@ -744,22 +712,18 @@ TEST(LatSketchTest, EmptySketchCellsRestoreToNullAndZero) {
   auto lat = *Lat::Create(SketchSpec());
   auto q = MakeQuery("s", 7.0, "text");
   lat->Insert(&q, 0);
-  auto exported = MakeStateTable(*lat);
-  ASSERT_TRUE(lat->ExportState(exported.get(), 0).ok());
-
   const std::vector<std::string> names = lat->StateColumnNames();
-  auto blanked = MakeStateTable(*lat);
-  for (Row& record : AllTableRows(*exported)) {
+  std::vector<Row> blanked = lat->ExportState();
+  for (Row& record : blanked) {
     for (size_t i = 0; i < names.size(); ++i) {
       if (names[i].size() > 7 &&
           names[i].compare(names[i].size() - 7, 7, "#sketch") == 0) {
         record[i] = Value::String("");
       }
     }
-    ASSERT_TRUE(blanked->Insert(std::move(record)).ok());
   }
   auto restored = *Lat::Create(SketchSpec());
-  ASSERT_TRUE(restored->ImportState(*blanked, 0).ok());
+  ASSERT_TRUE(restored->ImportState(blanked, 0).ok());
   Row row;
   ASSERT_TRUE(restored->LookupByKey({Value::String("s")}, 0, &row));
   EXPECT_EQ(row[1].int_value(), 1);   // fold count survives
@@ -774,18 +738,15 @@ TEST(LatSketchTest, CorruptSketchCellRejectsImport) {
   auto lat = *Lat::Create(SketchSpec());
   auto q = MakeQuery("s", 7.0, "text");
   lat->Insert(&q, 0);
-  auto exported = MakeStateTable(*lat);
-  ASSERT_TRUE(lat->ExportState(exported.get(), 0).ok());
-  auto corrupted = MakeStateTable(*lat);
+  std::vector<Row> corrupted = lat->ExportState();
   const std::vector<std::string> names = lat->StateColumnNames();
-  for (Row& record : AllTableRows(*exported)) {
+  for (Row& record : corrupted) {
     for (size_t i = 0; i < names.size(); ++i) {
       if (names[i] == "P50#sketch") record[i] = Value::String("garbage");
     }
-    ASSERT_TRUE(corrupted->Insert(std::move(record)).ok());
   }
   auto restored = *Lat::Create(SketchSpec());
-  EXPECT_FALSE(restored->ImportState(*corrupted, 0).ok());
+  EXPECT_FALSE(restored->ImportState(corrupted, 0).ok());
 }
 
 // v3 state snapshots must round-trip sketch-bearing LATs bit-exactly, even
@@ -803,10 +764,9 @@ TEST(LatSketchTest, SketchStateRoundTripIsIdempotent) {
   }
   EXPECT_GT(lat->stats().sketch_collapses.value(), 0u);
 
-  auto first = MakeStateTable(*lat);
-  ASSERT_TRUE(lat->ExportState(first.get(), 9).ok());
+  const std::vector<Row> first = lat->ExportState();
   auto restored = *Lat::Create(spec);
-  ASSERT_TRUE(restored->ImportState(*first, 0).ok());
+  ASSERT_TRUE(restored->ImportState(first, 0).ok());
   EXPECT_EQ(restored->size(), lat->size());
 
   for (int k = 0; k < 5; ++k) {
@@ -821,9 +781,7 @@ TEST(LatSketchTest, SketchStateRoundTripIsIdempotent) {
           << "column " << lat->column_names()[c];
     }
   }
-  auto second = MakeStateTable(*restored);
-  ASSERT_TRUE(restored->ExportState(second.get(), 9).ok());
-  EXPECT_EQ(RenderRows(AllTableRows(*first)), RenderRows(AllTableRows(*second)));
+  EXPECT_EQ(RenderRows(first), RenderRows(restored->ExportState()));
 }
 
 // Fleet-merge: folding one node's state export into another must read
@@ -844,9 +802,7 @@ TEST(LatSketchTest, MergeStateFoldsSketchesExactly) {
     whole->Insert(&q, 0);
     (i % 2 == 0 ? node_a : node_b)->Insert(&q, 0);
   }
-  auto shipped = MakeStateTable(*node_b);
-  ASSERT_TRUE(node_b->ExportState(shipped.get(), 0).ok());
-  ASSERT_TRUE(node_a->MergeState(*shipped, 0).ok());
+  ASSERT_TRUE(node_a->MergeState(node_b->ExportState(), 0).ok());
   EXPECT_EQ(node_a->size(), whole->size());
   for (int k = 0; k < 6; ++k) {
     const Row key = {Value::String("sig" + std::to_string(k))};
@@ -960,21 +916,18 @@ TEST(LatTest, AgingEmptyWindowMatchesUnallocatedDeque) {
   // Build the unallocated-deque twin by restoring the same record with its
   // #blocks cells blanked (how a group that never folded an aging value
   // round-trips through the state codec).
-  auto exported = MakeStateTable(*expired);
-  ASSERT_TRUE(expired->ExportState(exported.get(), 0).ok());
   const std::vector<std::string> names = expired->StateColumnNames();
-  auto blanked = MakeStateTable(*expired);
-  for (Row& record : AllTableRows(*exported)) {
+  std::vector<Row> blanked = expired->ExportState();
+  for (Row& record : blanked) {
     for (size_t i = 0; i < names.size(); ++i) {
       if (names[i].size() > 7 &&
           names[i].compare(names[i].size() - 7, 7, "#blocks") == 0) {
         record[i] = Value::String("");
       }
     }
-    ASSERT_TRUE(blanked->Insert(std::move(record)).ok());
   }
   auto unallocated = *Lat::Create(spec);
-  ASSERT_TRUE(unallocated->ImportState(*blanked, 0).ok());
+  ASSERT_TRUE(unallocated->ImportState(blanked, 0).ok());
 
   const int64_t later = 1'000'000;  // far past the 10ms window
   Row a, b;

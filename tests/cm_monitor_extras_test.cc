@@ -137,9 +137,15 @@ TEST(MonitorRateLimitTest, PerRuleOverridesOfEngineActionCap) {
 
   for (const auto& rule : monitor.SnapshotRules()) {
     const uint64_t suppressed = rule->stats.actions_suppressed.value();
-    if (rule->name == "capped") EXPECT_EQ(suppressed, 3u);
-    if (rule->name == "unlimited") EXPECT_EQ(suppressed, 0u);
-    if (rule->name == "wider") EXPECT_EQ(suppressed, 1u);
+    if (rule->name == "capped") {
+      EXPECT_EQ(suppressed, 3u);
+    }
+    if (rule->name == "unlimited") {
+      EXPECT_EQ(suppressed, 0u);
+    }
+    if (rule->name == "wider") {
+      EXPECT_EQ(suppressed, 1u);
+    }
   }
 }
 

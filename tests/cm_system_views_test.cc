@@ -403,7 +403,9 @@ TEST_F(SystemViewsTest, SlowEventsRetainWholeTracesRankedByCost) {
   int64_t expect_rank = 1;
   for (const auto& [rank, total] : total_by_rank) {
     EXPECT_EQ(rank, expect_rank++);
-    if (prev >= 0) EXPECT_LE(total, prev);
+    if (prev >= 0) {
+      EXPECT_LE(total, prev);
+    }
     prev = total;
     EXPECT_TRUE(has_event[rank]) << "rank " << rank;
     EXPECT_GT(trace_by_rank[rank], 0);

@@ -545,7 +545,7 @@ TEST_F(FedTest, AggregatorJournalAndCheckpointSurviveRestart) {
     ASSERT_EQ(stats.size(), 1u);
     EXPECT_EQ(stats[0].lat, "FleetQ");
     const int64_t now = clock.NowMicros();
-    for (const std::string& sig : {"a", "b"}) {
+    for (const char* sig : {"a", "b"}) {
       Row want, got;
       const bool in_src = lat->LookupByKey({Value::String(sig)}, now, &want);
       const bool in_fleet =
